@@ -48,15 +48,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=0)
-    parser.add_argument("--workloads", nargs="+", default=[w["name"] for w in bench["workloads"]])
-    parser.add_argument("--no-trace", action="store_true", help="skip the traced run")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
 
     seconds = bench["run_seconds"]
     seeds = list(range(args.first_seed, args.first_seed + args.runs))
     summary = {"run_seconds": seconds, "seeds": seeds, "workloads": {}}
-    for workload in args.workloads:
+    for workload in (w["name"] for w in bench["workloads"]):
         runs = [run_once(workload, seed, seconds, 0) for seed in seeds]
         row = {
             "correct": all(r["correct"] for r in runs),
@@ -68,12 +66,12 @@ def main() -> int:
                 for m in bench["end_to_end"]
             },
         }
-        if not args.no_trace:
-            traced = run_once(workload, seeds[0], seconds, 1)
-            row["per_layer"] = {k: v["value"] for k, v in traced["metrics"].items()}
-            row["traced_attempted"] = traced["attempted"]
-            row["traced_failed"] = traced["failed"]
-            row["traced_correct"] = traced["correct"]
+        traced = run_once(workload, seeds[0], seconds, 1)
+        row["per_layer"] = {k: v["value"] for k, v in traced["metrics"].items()}
+        row["traced_attempted"] = traced["attempted"]
+        row["traced_failed"] = traced["failed"]
+        row["traced_correct"] = traced["correct"]
+        row["traced_wall_s"] = traced["wall_s"]
         summary["workloads"][workload] = row
         spreads = {k: round(v["spread"], 4) for k, v in row["end_to_end"].items()}
         print(workload, "correct" if row["correct"] else "INCORRECT", spreads, flush=True)

@@ -13,8 +13,9 @@ output is checked against values computed apart from ``cohrand``
 With ``--trace 0`` the last stdout line reports the end-to-end metrics:
 
 * ``ops_per_s``: CLI calls completed per second of call time;
-* ``setup_s``: median over fresh interpreters of importing ``cohrand.cli``,
-  writing the inputs and making the warm-up call;
+* ``setup_s``: median over fresh interpreters, half started before the
+  loop and half after it, of importing ``cohrand.cli``, writing the inputs
+  and making the warm-up call;
 * ``peak_rss_mb``: peak resident memory of this process after the loop.
 
 With ``--trace 1`` the loop runs once untraced and once with span-recording
@@ -56,7 +57,9 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = HERE / "out"
 
-SETUP_REPEATS = 5
+# Fresh set-up interpreters per run, half before the loop and half after,
+# so that the samples span the run rather than its first seconds.
+SETUP_REPEATS = 6
 SETUP_TIMEOUT_S = 120
 
 END_TO_END_UNITS = {"ops_per_s": "1/s", "setup_s": "s", "peak_rss_mb": "MB"}
@@ -155,14 +158,14 @@ def run_loop(cli, ops, seconds: float) -> dict:
     }
 
 
-def measure_setup(workload: str, seed: int, workdir: Path, warmup) -> tuple:
-    """Wall times of SETUP_REPEATS fresh interpreters that each import
+def measure_setup(workload: str, seed: int, workdir: Path, warmup, repeats: int) -> tuple:
+    """Wall times of `repeats` fresh interpreters that each import
     cohrand.cli, write the inputs and make the warm-up call, one after
     another."""
     times, problems = [], []
     cmd = [sys.executable, str(Path(__file__).resolve()), "--setup-child"]
     cmd += [workload, str(seed), str(workdir)]
-    for _ in range(SETUP_REPEATS):
+    for _ in range(repeats):
         start = time.perf_counter()
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=SETUP_TIMEOUT_S)
         times.append(time.perf_counter() - start)
@@ -254,12 +257,10 @@ def run(args, workdir: Path) -> tuple:
     import cohrand.rng
 
     ops, warmup = workloads.build(args.workload, workdir, args.seed)
-    problems = []
-    setup_samples = setup_s = None
+    setup_args = (args.workload, args.seed, workdir, warmup, SETUP_REPEATS // 2)
+    problems, setup_samples = [], []
     if not args.trace:
-        setup_samples, setup_problems = measure_setup(args.workload, args.seed, workdir, warmup)
-        setup_s = statistics.median(setup_samples)
-        problems += setup_problems
+        setup_samples, problems = measure_setup(*setup_args)
     code, out, _ = call(cli, warmup.argv)
     verdict = workloads.check(warmup, code, out)
     problems += [f"warm-up {' '.join(warmup.argv)}: {p}" for p in verdict.problems]
@@ -281,6 +282,10 @@ def run(args, workdir: Path) -> tuple:
         metrics = per_layer_metrics(tracer.spans, plain, traced)
         units = PER_LAYER_UNITS
     else:
+        after, after_problems = measure_setup(*setup_args)
+        setup_samples += after
+        problems += after_problems
+        setup_s = statistics.median(setup_samples)
         metrics = {"ops_per_s": plain["ops_per_s"], "setup_s": setup_s, "peak_rss_mb": peak_rss_mb}
         units = END_TO_END_UNITS
     if args.workload == "extract_pipeline":

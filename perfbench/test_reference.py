@@ -141,6 +141,10 @@ def test_finite_n_yield_matches_the_chain_rule(n_copies, p0):
     assert ref.finite_n_yield(n_copies, p0) == pytest.approx(
         float(np.sum(pk * log2_c)) / n_copies, abs=1e-10
     )
+    assert ref.finite_n_yield(n_copies, p0) == pytest.approx(
+        ref.binary_entropy(p0) - binom.entropy(n_copies, 1.0 - p0) / math.log(2.0) / n_copies,
+        abs=1e-10,
+    )
 
 
 def test_finite_n_yield_value_at_fifty_copies():

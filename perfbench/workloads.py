@@ -242,8 +242,8 @@ def _check_pipeline(op: Op, code, out, verdict: Verdict) -> None:
     a, b = out["path_a_bits"], out["path_b_bits"]
     if a != e["path_a_bits"]:
         verdict.problems.append(f"path A {a} bits != floor(N M (H - 0.02)) = {e['path_a_bits']}")
-    # Computed here, not when the op is built: scipy.stats takes longer to
-    # import than cohrand.cli, and building is part of the timed set-up.
+    # Computed here, not when the op is built: building is part of the
+    # timed set-up.
     target_b = n * _finite_n_yield(e["group_n"], e["p0"])
     if abs(b - target_b) > 0.02 * n:
         verdict.problems.append(f"path B {b} bits outside +-0.02 N M of {target_b:.1f}")
