@@ -1,39 +1,22 @@
-"""Hot numeric kernels.
+"""Hot numeric kernels, one numpy implementation each.
 
-Each kernel has a numba-compiled fast path and a pure-numpy fallback.
-Set ``COHRAND_NO_NUMBA=1`` in the environment to force the fallback; the
-two paths produce identical results (see tests/test_kernels.py and
-benchmarks/compare_backends.py).
+* :func:`roof_descent` -- one restart of the convex-roof descent, with the
+  closed-form gradient of the objective (Röthlisberger, Lehmann & Loss,
+  PRA 80, 042301 (2009));
+* :func:`qubit_grid_min` -- the brute-force qubit roof oracle;
+* :func:`toeplitz_gf2` -- the Toeplitz GF(2) hash, as an FFT product.
+
+tests/test_kernels.py checks them against central differences, the naive
+Toeplitz product and the analytic qubit roof.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 LN2 = math.log(2.0)
-
-
-def _numba_disabled() -> bool:
-    return os.environ.get("COHRAND_NO_NUMBA", "").strip().lower() in ("1", "true", "yes")
-
-
-try:
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-USE_NUMBA = _HAVE_NUMBA and not _numba_disabled()
-
-
-def _jit(fn):
-    if USE_NUMBA:
-        return _njit(cache=True)(fn)
-    return fn
 
 
 # --------------------------------------------------------------------------
@@ -41,170 +24,58 @@ def _jit(fn):
 # --------------------------------------------------------------------------
 
 
-def _row_contrib_py(row):
-    """Contribution of one unnormalized ensemble row to the roof objective,
-    in nats: -sum q ln q + p ln p with p the row norm squared."""
-    p = 0.0
-    acc = 0.0
-    for i in range(row.shape[0]):
-        q = row[i].real * row[i].real + row[i].imag * row[i].imag
-        p += q
-        if q > 1e-300:
-            acc -= q * math.log(q)
-    if p > 1e-300:
-        acc += p * math.log(p)
-    return acc
+def _row_contribs_batch(rows):
+    """Contribution of each unnormalized ensemble row (batch, dim) to the
+    roof objective, in nats: -sum q ln q + p ln p with q = |row|^2 and p
+    the row norm squared (0 ln 0 = 0)."""
+    q = rows.real * rows.real + rows.imag * rows.imag
+    p = q.sum(axis=1)
+    q_ln_q = q * np.log(q, where=q > 1e-300, out=np.zeros_like(q))
+    return p * np.log(p, where=p > 1e-300, out=np.zeros_like(p)) - q_ln_q.sum(axis=1)
 
 
-_row_contrib = _jit(_row_contrib_py)
+def _roof_gradient(psi):
+    """Gradient of the objective as an anti-Hermitian generator A.
+
+    The objective has d/dq_ei = ln(p_e / q_ei) =: D_ei (0 where q_ei
+    vanishes, its limit there). With M = psi (D o psi)^dag, A = 2 (M - M^dag)
+    off the diagonal and 0 on it: for each pair j < l the generator
+    coordinates are g_r = Re A[l, j] = 2 Re(M[l, j] - M[j, l]) and
+    g_i = -Im A[l, j] = -2 Im(M[l, j] + M[j, l]). Diagonal generators only
+    change row phases and never move the objective.
+    """
+    q = psi.real * psi.real + psi.imag * psi.imag
+    p = q.sum(axis=1, keepdims=True)
+    D = np.log(p / np.maximum(q, 1e-300), where=q > 1e-300, out=np.zeros_like(q))
+    M = psi @ (D * psi).conj().T
+    A = 2.0 * (M - M.conj().T)
+    np.fill_diagonal(A, 0.0)
+    return A
 
 
-def _roof_descent_py(BT, W0, max_iter, tol_nats, grad_step):
+def roof_descent(BT, W0, max_iter, tol_nats):
     """Single-restart local descent on the isometry manifold.
 
     The ensemble is psi = W @ BT (rows are unnormalized pure states).
-    Steps move along geodesics exp(t A) with A an off-diagonal
-    anti-Hermitian generator; the gradient in generator coordinates is
-    estimated by central differences (diagonal generators only change row
-    phases and never move the objective, so they are skipped).
+    Steps move along geodesics exp(t A) with A the closed-form gradient
+    generator of :func:`_roof_gradient`; an Armijo backtracking line
+    search picks t.
 
     Returns (objective in bits, final W, converged flag).
     """
     W = W0.copy()
-    psi = np.dot(W, BT)
-    m = W.shape[0]
-    npair = m * (m - 1) // 2
-    g = np.empty(2 * npair)
-    c = np.empty(m)
-    for e in range(m):
-        c[e] = _row_contrib(psi[e])
-    f = c.sum()
-    prev_t = 1.0
-    converged = False
-    stall = 0
-    for _ in range(max_iter):
-        k = 0
-        gnorm2 = 0.0
-        for j in range(m):
-            for l in range(j + 1, m):
-                fp = _row_contrib(psi[j] + grad_step * psi[l]) + _row_contrib(
-                    psi[l] - grad_step * psi[j]
-                )
-                fm = _row_contrib(psi[j] - grad_step * psi[l]) + _row_contrib(
-                    psi[l] + grad_step * psi[j]
-                )
-                g[k] = (fp - fm) / (2.0 * grad_step)
-                fp = _row_contrib(psi[j] + 1j * grad_step * psi[l]) + _row_contrib(
-                    psi[l] + 1j * grad_step * psi[j]
-                )
-                fm = _row_contrib(psi[j] - 1j * grad_step * psi[l]) + _row_contrib(
-                    psi[l] - 1j * grad_step * psi[j]
-                )
-                g[k + 1] = (fp - fm) / (2.0 * grad_step)
-                gnorm2 += g[k] * g[k] + g[k + 1] * g[k + 1]
-                k += 2
-        if gnorm2 < 1e-22:
-            converged = True
-            break
-        A = np.zeros((m, m), dtype=np.complex128)
-        k = 0
-        for j in range(m):
-            for l in range(j + 1, m):
-                gr = g[k]
-                gi = g[k + 1]
-                k += 2
-                A[j, l] = complex(-gr, -gi)
-                A[l, j] = complex(gr, -gi)
-        w, U = np.linalg.eigh(1j * A)
-        Uh = U.conj().T
-        t = prev_t * 2.0
-        accepted = False
-        ft = f
-        ct = c
-        psit = psi
-        Et = np.eye(m, dtype=np.complex128)
-        for _ls in range(60):
-            ph = np.exp(-1j * t * w)
-            E = np.dot(U * ph, Uh)
-            psit = np.dot(E, psi)
-            ct = np.empty(m)
-            for e in range(m):
-                ct[e] = _row_contrib(psit[e])
-            ft = ct.sum()
-            if ft < f - 1e-4 * t * gnorm2:
-                accepted = True
-                Et = E
-                break
-            t *= 0.5
-        if not accepted:
-            converged = True
-            break
-        dec = f - ft
-        W = np.dot(Et, W)
-        psi = psit
-        c = ct
-        f = ft
-        prev_t = t
-        # Linear convergence means the remaining gap is a multiple of the
-        # per-iteration decrease; demand decreases well below the target
-        # tolerance before declaring convergence.
-        if dec < 0.01 * tol_nats:
-            stall += 1
-            if stall >= 3:
-                converged = True
-                break
-        else:
-            stall = 0
-    return f / LN2, W, converged
-
-
-def _row_contribs_batch(rows):
-    """Vectorized _row_contrib over a stack of rows (batch, dim)."""
-    q = rows.real * rows.real + rows.imag * rows.imag
-    p = q.sum(axis=1)
-    safe_q = np.maximum(q, 1e-300)
-    acc = -np.sum(np.where(q > 1e-300, q * np.log(safe_q), 0.0), axis=1)
-    return acc + np.where(p > 1e-300, p * np.log(np.maximum(p, 1e-300)), 0.0)
-
-
-def _roof_descent_numpy(BT, W0, max_iter, tol_nats, grad_step):
-    """Vectorized fallback for :func:`_roof_descent_py`: same algorithm,
-    with the per-pair finite differences evaluated in batch."""
-    W = W0.copy()
     psi = W @ BT
-    m = W.shape[0]
-    jj, ll = np.triu_indices(m, k=1)
     f = float(_row_contribs_batch(psi).sum())
     prev_t = 1.0
     converged = False
     stall = 0
-    h = grad_step
     for _ in range(max_iter):
-        a = psi[jj]
-        b = psi[ll]
-        # One batched contribution call for all 16 perturbed row sets.
-        perturbed = np.concatenate(
-            [
-                a + h * b,
-                b - h * a,
-                a - h * b,
-                b + h * a,
-                a + 1j * h * b,
-                b + 1j * h * a,
-                a - 1j * h * b,
-                b - 1j * h * a,
-            ]
-        )
-        c8 = _row_contribs_batch(perturbed).reshape(8, -1)
-        g_r = (c8[0] + c8[1] - c8[2] - c8[3]) / (2.0 * h)
-        g_i = (c8[4] + c8[5] - c8[6] - c8[7]) / (2.0 * h)
-        gnorm2 = float(np.sum(g_r * g_r) + np.sum(g_i * g_i))
+        A = _roof_gradient(psi)
+        # Squared norm of the (g_r, g_i) coordinates over the pairs j < l.
+        gnorm2 = 0.5 * float(np.vdot(A, A).real)
         if gnorm2 < 1e-22:
             converged = True
             break
-        A = np.zeros((m, m), dtype=np.complex128)
-        A[jj, ll] = -g_r - 1j * g_i
-        A[ll, jj] = g_r - 1j * g_i
         w, U = np.linalg.eigh(1j * A)
         Uh = U.conj().T
         t = prev_t * 2.0
@@ -225,8 +96,9 @@ def _roof_descent_numpy(BT, W0, max_iter, tol_nats, grad_step):
         psi = psit
         f = ft
         prev_t = t
-        # Same stall rule as the scalar kernel: require the per-iteration
-        # decrease to sit well below the target tolerance.
+        # Linear convergence means the remaining gap is a multiple of the
+        # per-iteration decrease; demand decreases well below the target
+        # tolerance before declaring convergence.
         if dec < 0.01 * tol_nats:
             stall += 1
             if stall >= 3:
@@ -237,70 +109,18 @@ def _roof_descent_numpy(BT, W0, max_iter, tol_nats, grad_step):
     return f / LN2, W, converged
 
 
-roof_descent = _njit(cache=True)(_roof_descent_py) if USE_NUMBA else _roof_descent_numpy
-
-
 # --------------------------------------------------------------------------
 # Brute-force qubit roof (independent oracle)
 # --------------------------------------------------------------------------
 
 
-def _qubit_grid_min_py(b00, b01, b10, b11, grid_n):
-    """Exhaustive grid over 2x2 mixing unitaries (three angles) applied to
-    the eigendecomposition rows (b00, b01) and (b10, b11). Returns the grid
-    minimum of the roof objective in bits."""
-    best = 1e300
-    for ia in range(grid_n):
-        a = 0.5 * math.pi * ia / grid_n
-        ca = math.cos(a)
-        sa = math.sin(a)
-        for ib in range(grid_n):
-            b = 2.0 * math.pi * ib / grid_n
-            eb = complex(math.cos(b), math.sin(b))
-            for ic in range(grid_n):
-                cc = 2.0 * math.pi * ic / grid_n
-                ec = complex(math.cos(cc), math.sin(cc))
-                u01 = -ec * sa
-                x0 = ca * b00 + u01 * b10
-                x1 = ca * b01 + u01 * b11
-                u10 = eb * sa
-                u11 = eb * ec * ca
-                y0 = u10 * b00 + u11 * b10
-                y1 = u10 * b01 + u11 * b11
-                val = 0.0
-                q0 = x0.real * x0.real + x0.imag * x0.imag
-                q1 = x1.real * x1.real + x1.imag * x1.imag
-                p = q0 + q1
-                if q0 > 1e-300:
-                    val -= q0 * math.log(q0)
-                if q1 > 1e-300:
-                    val -= q1 * math.log(q1)
-                if p > 1e-300:
-                    val += p * math.log(p)
-                q0 = y0.real * y0.real + y0.imag * y0.imag
-                q1 = y1.real * y1.real + y1.imag * y1.imag
-                p = q0 + q1
-                if q0 > 1e-300:
-                    val -= q0 * math.log(q0)
-                if q1 > 1e-300:
-                    val -= q1 * math.log(q1)
-                if p > 1e-300:
-                    val += p * math.log(p)
-                if val < best:
-                    best = val
-    return best / LN2
-
-
-_qubit_grid_min_numba = _jit(_qubit_grid_min_py)
-
-
-def _qubit_grid_min_numpy(b00, b01, b10, b11, grid_n):
-    """Vectorized fallback for the qubit grid oracle (same grid, same
-    minimum)."""
-    bs = 2.0 * math.pi * np.arange(grid_n) / grid_n
-    cs = 2.0 * math.pi * np.arange(grid_n) / grid_n
-    eb = np.exp(1j * bs)[:, None]
-    ec = np.exp(1j * cs)[None, :]
+def qubit_grid_min(b00, b01, b10, b11, grid_n):
+    """Exhaustive grid over 2x2 mixing unitaries (three angles, grid_n
+    points each) applied to the eigendecomposition rows (b00, b01) and
+    (b10, b11). Returns the grid minimum of the roof objective in bits."""
+    phases = np.exp(2j * math.pi * np.arange(grid_n) / grid_n)
+    eb = phases[:, None]
+    ec = phases[None, :]
     best = np.inf
 
     def ent2(q0, q1):
@@ -332,67 +152,20 @@ def _qubit_grid_min_numpy(b00, b01, b10, b11, grid_n):
     return best / LN2
 
 
-def qubit_grid_min(b00, b01, b10, b11, grid_n):
-    if USE_NUMBA:
-        return _qubit_grid_min_numba(b00, b01, b10, b11, grid_n)
-    return _qubit_grid_min_numpy(b00, b01, b10, b11, grid_n)
-
-
 # --------------------------------------------------------------------------
 # Toeplitz GF(2) matrix-vector product
 # --------------------------------------------------------------------------
 
 
-def _toeplitz_gf2_packed_py(e_words, x_words, out_len, n_words):
-    """Bit-packed Toeplitz-times-vector over GF(2).
+def toeplitz_gf2(diag_bits: np.ndarray, x_bits: np.ndarray, out_len: int) -> np.ndarray:
+    """y_i = XOR_j T[i, j] x_j with T[i, j] = diag_bits[i - j + in_len - 1].
 
-    Row i of the Toeplitz matrix is the 64-bit-packed window
-    e[out_len-1-i : out_len-1-i+in_len]; the product bit is the parity of
-    the AND with the packed input."""
-    y = np.zeros(out_len, dtype=np.uint8)
-    one = np.uint64(1)
-    for i in range(out_len):
-        o = out_len - 1 - i
-        base = o >> 6
-        s = o & 63
-        acc = np.uint64(0)
-        if s == 0:
-            for w in range(n_words):
-                acc ^= e_words[base + w] & x_words[w]
-        else:
-            sh = np.uint64(s)
-            shc = np.uint64(64 - s)
-            for w in range(n_words):
-                win = (e_words[base + w] >> sh) | (e_words[base + w + 1] << shc)
-                acc ^= win & x_words[w]
-        acc ^= acc >> np.uint64(32)
-        acc ^= acc >> np.uint64(16)
-        acc ^= acc >> np.uint64(8)
-        acc ^= acc >> np.uint64(4)
-        acc ^= acc >> np.uint64(2)
-        acc ^= acc >> np.uint64(1)
-        y[i] = np.uint8(acc & one)
-    return y
-
-
-_toeplitz_gf2_packed = _jit(_toeplitz_gf2_packed_py)
-
-
-def _pack_bits_u64(bits: np.ndarray, pad_words: int) -> np.ndarray:
-    """Pack a 0/1 uint8 array into little-bit-order uint64 words with
-    `pad_words` zero words appended."""
-    packed = np.packbits(bits, bitorder="little")
-    n_bytes = ((len(packed) + 7) // 8 + pad_words) * 8
-    buf = np.zeros(n_bytes, dtype=np.uint8)
-    buf[: len(packed)] = packed
-    return buf.view(np.uint64)
-
-
-def _toeplitz_gf2_fft(diag_bits: np.ndarray, x_bits: np.ndarray, out_len: int) -> np.ndarray:
-    """FFT-convolution fallback: exact because the integer convolution
-    values stay far below 2**53."""
+    Computed as an FFT convolution, which is exact because the integer
+    convolution values stay far below 2**53."""
     from scipy.fft import irfft, next_fast_len, rfft
 
+    diag_bits = np.ascontiguousarray(diag_bits, dtype=np.uint8)
+    x_bits = np.ascontiguousarray(x_bits, dtype=np.uint8)
     in_len = len(x_bits)
     n = next_fast_len(len(diag_bits) + in_len - 1)
     conv = irfft(rfft(diag_bits.astype(float), n) * rfft(x_bits.astype(float), n), n)
@@ -401,16 +174,3 @@ def _toeplitz_gf2_fft(diag_bits: np.ndarray, x_bits: np.ndarray, out_len: int) -
     if np.max(np.abs(seg - rounded)) > 0.1:  # pragma: no cover
         raise FloatingPointError("FFT convolution drifted from integer values")
     return (rounded.astype(np.int64) & 1).astype(np.uint8)
-
-
-def toeplitz_gf2(diag_bits: np.ndarray, x_bits: np.ndarray, out_len: int) -> np.ndarray:
-    """y_i = XOR_j T[i, j] x_j with T[i, j] = diag_bits[i - j + in_len - 1]."""
-    diag_bits = np.ascontiguousarray(diag_bits, dtype=np.uint8)
-    x_bits = np.ascontiguousarray(x_bits, dtype=np.uint8)
-    if USE_NUMBA:
-        e = diag_bits[::-1]
-        e_words = _pack_bits_u64(e, pad_words=2)
-        x_words = _pack_bits_u64(x_bits, pad_words=1)
-        n_words = (len(x_bits) + 63) // 64
-        return _toeplitz_gf2_packed(e_words, x_words, out_len, n_words)
-    return _toeplitz_gf2_fft(diag_bits, x_bits, out_len)

@@ -31,8 +31,16 @@ from .verify import DEFAULT_MEASURES, run_property_suite
 
 
 def _emit(data) -> None:
-    json.dump(data, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # Encode in full before writing, so a NaN or inf (not JSON) leaves no
+    # partial document on stdout.
+    sys.stdout.write(json.dumps(data, indent=2, allow_nan=False) + "\n")
+
+
+def _unit_interval(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
 
 
 def _as_density(state) -> DensityMatrix:
@@ -203,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("distill", help="simulate the coherence distillation protocol")
-    p.add_argument("--alpha-sq", type=float, required=True)
+    p.add_argument("--alpha-sq", type=_unit_interval, required=True)
     p.add_argument("--n", type=int, required=True, help="copies per group")
     p.add_argument("--m", type=int, default=1, help="number of groups")
     p.add_argument("--seed", type=int, default=0)

@@ -179,12 +179,12 @@ def distill_simulate(psi: PureState, n_copies: int, n_groups: int, seed: int) ->
 
 def coherence_loss_ledger(report: DistillationReport):
     """(loss_actual, loss_bound): realized coherence loss of a run versus
-    the M log2 N + 1 bound."""
-    loss_actual = report.n_copies * report.n_groups * report.input_randomness - report.r
-    loss_bound = report.n_groups * math.log2(report.n_copies) + 1.0
-    # Single tiny runs can come out slightly ahead by luck; non-negativity
-    # holds in expectation and is asserted at protocol scale in the tests.
-    return loss_actual, loss_bound
+    the M log2 N + 1 bound, as :func:`distill_simulate` recorded them.
+
+    Single tiny runs can come out slightly ahead by luck; non-negativity
+    holds in expectation and is asserted at protocol scale in the tests.
+    """
+    return report.loss_actual, report.loss_bound
 
 
 def regularized_roof_estimate(

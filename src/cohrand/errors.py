@@ -21,6 +21,11 @@ class NotPSD(StateValidationError):
     pass
 
 
+class NotFinite(StateValidationError, ValueError):
+    """An entry is NaN or infinite. Also a ValueError, which the pure-state
+    and Bloch-vector parsers raise for their other invariants."""
+
+
 class DimensionNot2(CohrandError):
     """Operation defined for qubits only."""
 

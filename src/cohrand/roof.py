@@ -49,7 +49,6 @@ class RoofConfig:
     max_iterations: int = 2000
     tolerance: float = 1e-8
     seed: int = 0
-    grad_step: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -129,11 +128,7 @@ def optimize_roof(rho: DensityMatrix, config: RoofConfig = RoofConfig()) -> Roof
         g = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
         w0, _ = np.linalg.qr(g)
         value, w_final, converged = _kernels.roof_descent(
-            bt,
-            np.ascontiguousarray(w0),
-            config.max_iterations,
-            tol_nats,
-            config.grad_step,
+            bt, np.ascontiguousarray(w0), config.max_iterations, tol_nats
         )
         if best is None or value < best[0]:
             best = (value, w_final, converged)

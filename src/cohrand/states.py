@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionNot2, NotHermitian, NotPSD, TraceNotOne
+from .errors import DimensionNot2, NotFinite, NotHermitian, NotPSD, TraceNotOne
 
 DEFAULT_TOL = 1e-10
 
@@ -54,15 +54,22 @@ class PureState:
         return np.abs(self.amps) ** 2
 
 
+def _require_finite(values, what: str) -> None:
+    # NaN fails every comparison, so the tolerance checks alone let it pass.
+    if not np.isfinite(values).all():
+        raise NotFinite(f"{what} has a NaN or infinite entry")
+
+
 def validate_density(m, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """Validate a raw square complex matrix as a density matrix.
 
-    Raises NotHermitian / TraceNotOne / NotPSD naming the offending
-    magnitude.
+    Raises NotFinite / NotHermitian / TraceNotOne / NotPSD naming the
+    offending magnitude.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    _require_finite(m, "density matrix")
     herm_dev = float(np.max(np.abs(m - m.conj().T)))
     if herm_dev > tol:
         raise NotHermitian(f"max |rho_ij - conj(rho_ji)| = {herm_dev:.3e} > {tol:.1e}")
@@ -78,6 +85,7 @@ def validate_density(m, tol: float = DEFAULT_TOL) -> DensityMatrix:
 def pure_state(amps, tol: float = 1e-12) -> PureState:
     """Validate a raw complex vector as a unit-norm pure state."""
     amps = np.asarray(amps, dtype=complex).ravel()
+    _require_finite(amps, "amplitude vector")
     norm_dev = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
     if norm_dev > tol:
         raise ValueError(f"|sum |a_i|^2 - 1| = {norm_dev:.3e} > {tol:.1e}")
@@ -131,6 +139,7 @@ def shannon_entropy(p, tol: float = 1e-12) -> float:
 def bloch_to_density(n) -> DensityMatrix:
     """rho = (I + n_x sigma_x + n_y sigma_y + n_z sigma_z) / 2."""
     nx, ny, nz = (float(v) for v in n)
+    _require_finite([nx, ny, nz], "Bloch vector")
     norm2 = nx * nx + ny * ny + nz * nz
     if norm2 > 1.0 + 1e-10:
         raise ValueError(f"Bloch vector norm^2 = {norm2:.6f} > 1")

@@ -13,8 +13,8 @@ from cohrand import (
     pure_state,
     random_density,
 )
-from cohrand.cli import main
-from cohrand.errors import NotPSD
+from cohrand.cli import _emit, main
+from cohrand.errors import NotFinite, NotPSD
 from cohrand.stateio import load_state, load_stream, save_state, save_stream
 
 
@@ -52,6 +52,12 @@ class TestStateFiles:
         entries = [[1.5, 0], [0, 0], [0, 0], [-0.5, 0]]
         path.write_text(json.dumps({"dim": 2, "entries": entries}))
         with pytest.raises(NotPSD):
+            load_state(path)
+
+    def test_nan_amplitude_rejected(self, tmp_path):
+        path = tmp_path / "nan_pure.json"
+        path.write_text('{"dim": 2, "amplitudes": [[NaN, 0], [1, 0]]}')
+        with pytest.raises(NotFinite):
             load_state(path)
 
     def test_missing_keys(self, tmp_path):
@@ -97,6 +103,23 @@ class TestCli:
         assert out["r_pure"] == pytest.approx(1.0)
         assert out["qubit_analytic"] == pytest.approx(1.0)
 
+    def test_measures_rejects_nan_entries(self, tmp_path, capsys):
+        # Loading stops the NaN before any measure is computed, so no
+        # invalid JSON ("l1": NaN) reaches stdout.
+        path = tmp_path / "nan_rho.json"
+        path.write_text('{"dim": 2, "entries": [[NaN, 0], [0, 0], [0, 0], [1, 0]]}')
+        with pytest.raises(NotFinite):
+            main(["measures", str(path)])
+        assert capsys.readouterr().out == ""
+
+    def test_output_is_strict_json(self, capsys):
+        # JSON has no NaN or Infinity; refuse to print them, and print
+        # nothing of the document that held them.
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                _emit({"dim": 2, "l1": bad})
+        assert capsys.readouterr().out == ""
+
     def test_roof(self, tmp_path, capsys):
         path = tmp_path / "rho.json"
         save_state(random_density(2, 2, seed=1), path)
@@ -115,6 +138,13 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["mode"] == "simulate"
         assert out["r"] == math.floor(out["total_log2_dim"] + 1e-12)
+
+    @pytest.mark.parametrize("alpha_sq", ["1.5", "-0.1", "nan"])
+    def test_distill_alpha_sq_out_of_range(self, alpha_sq, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["distill", "--alpha-sq", alpha_sq, "--n", "5"])
+        assert exc.value.code == 2
+        assert "--alpha-sq" in capsys.readouterr().err
 
     def test_distill_exact(self, capsys):
         assert main(["distill", "--alpha-sq", "0.5", "--n", "4", "--exact"]) == 0

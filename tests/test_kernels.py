@@ -1,71 +1,95 @@
-"""Backend equivalence: the compiled kernels and their pure-numpy
-fallbacks must produce the same numbers."""
+"""Numeric kernels against references that do not share their code: central
+differences of the roof objective, the analytic qubit roof and the naive
+Toeplitz product."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from cohrand import _kernels, random_density
+from cohrand import _kernels, r_qubit_analytic, random_density
 from cohrand.roof import _support_eigendecomposition
 
 
-def qubit_rows(seed):
-    lam, vec = _support_eigendecomposition(random_density(2, 2, seed))
-    bt = (vec * np.sqrt(lam)).T
-    return bt
+def support_rows(rho):
+    lam, vec = _support_eigendecomposition(rho)
+    return (vec * np.sqrt(lam)).T
 
 
-class TestRoofDescentBackends:
-    @staticmethod
-    def descent_args(seed):
-        bt = np.ascontiguousarray(qubit_rows(seed))
-        g = np.random.default_rng(seed + 1)
-        w0, _ = np.linalg.qr(g.standard_normal((4, 2)) + 1j * g.standard_normal((4, 2)))
-        return bt, np.ascontiguousarray(w0), 500, 1e-8 * math.log(2.0), 1e-6
-
-    def test_dispatcher_matches_scalar_reference(self):
-        args = self.descent_args(0)
-        f_fast, w_fast, conv_fast = _kernels.roof_descent(*args)
-        f_py, w_py, conv_py = _kernels._roof_descent_py(*args)
-        assert f_fast == pytest.approx(f_py, abs=1e-12)
-        assert conv_fast == conv_py
-        # Different backends accumulate matmuls in different orders, so the
-        # iterates drift at the last-few-digits level.
-        assert np.max(np.abs(w_fast - w_py)) < 1e-8
-
-    def test_vectorized_matches_scalar_reference(self):
-        # Rounding differences can flip an Armijo accept/reject near the
-        # threshold, so the two backends may take different paths to the
-        # same minimum; compare the converged objectives, not the iterates.
-        for seed in (0, 5, 9):
-            args = self.descent_args(seed)
-            f_np, _, conv_np = _kernels._roof_descent_numpy(*args)
-            f_py, _, conv_py = _kernels._roof_descent_py(*args)
-            assert f_np == pytest.approx(f_py, abs=1e-9)
-            assert conv_np == conv_py
+def random_ensemble(d, seed):
+    bt = support_rows(random_density(d, d, seed))
+    g = np.random.default_rng(seed + 1)
+    w0, _ = np.linalg.qr(g.standard_normal((d * d, d)) + 1j * g.standard_normal((d * d, d)))
+    return bt, w0
 
 
-class TestQubitGridBackends:
-    def test_numpy_matches_loop(self):
-        bt = qubit_rows(2)
-        args = (complex(bt[0, 0]), complex(bt[0, 1]), complex(bt[1, 0]), complex(bt[1, 1]), 24)
-        loop = _kernels._qubit_grid_min_py(*args)
-        vectorized = _kernels._qubit_grid_min_numpy(*args)
-        assert vectorized == pytest.approx(loop, abs=1e-12)
+class TestRoofGradient:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_central_differences(self, d):
+        bt, w0 = random_ensemble(d, seed=d)
+        psi = w0 @ bt
+        A = _kernels._roof_gradient(psi)
+        assert np.max(np.abs(A + A.conj().T)) < 1e-14
 
-    def test_dispatcher_matches_both(self):
-        bt = qubit_rows(3)
-        args = (complex(bt[0, 0]), complex(bt[0, 1]), complex(bt[1, 0]), complex(bt[1, 1]), 16)
-        assert _kernels.qubit_grid_min(*args) == pytest.approx(
-            _kernels._qubit_grid_min_numpy(*args), abs=1e-12
-        )
+        def objective(rows):
+            return float(_kernels._row_contribs_batch(rows).sum())
+
+        h = 1e-6
+        worst = 0.0
+        m = psi.shape[0]
+        for j in range(m):
+            for l in range(j + 1, m):
+                # Generator coordinates (g_r, g_i) of the pair j < l: mix
+                # the two rows by a real rotation and by an imaginary one.
+                for step, expected in (
+                    (h, A[l, j].real),
+                    (1j * h, -A[l, j].imag),
+                ):
+                    plus = psi.copy()
+                    plus[j] += step * psi[l]
+                    plus[l] -= np.conj(step) * psi[j]
+                    minus = psi.copy()
+                    minus[j] -= step * psi[l]
+                    minus[l] += np.conj(step) * psi[j]
+                    fd = (objective(plus) - objective(minus)) / (2.0 * h)
+                    worst = max(worst, abs(fd - expected))
+        assert worst < 1e-8
+
+    def test_vanishes_on_zero_amplitudes(self):
+        # An incoherent ensemble is a stationary point; vanishing entries
+        # contribute their q -> 0 limit, not a NaN.
+        psi = np.array([[0.6, 0.0], [0.0, 0.8]], dtype=complex)
+        assert np.max(np.abs(_kernels._roof_gradient(psi))) == 0.0
+
+
+class TestRoofDescent:
+    @pytest.mark.parametrize("seed", [0, 5, 9])
+    def test_reaches_analytic_qubit_value(self, seed):
+        rho = random_density(2, 2, seed)
+        bt, w0 = random_ensemble(2, seed)
+        value, w, converged = _kernels.roof_descent(bt, w0, 2000, 1e-8 * math.log(2.0))
+        assert converged
+        assert value == pytest.approx(r_qubit_analytic(rho).value, abs=1e-6)
+        assert np.max(np.abs(w.conj().T @ w - np.eye(2))) < 1e-10
+
+
+class TestQubitGrid:
+    def test_brackets_analytic_value(self):
+        # A grid minimum can only overshoot the true minimum, and the
+        # overshoot shrinks with the grid spacing.
+        rho = random_density(2, 2, 2)
+        b = support_rows(rho)
+        exact = r_qubit_analytic(rho).value
+        coarse = _kernels.qubit_grid_min(b[0, 0], b[0, 1], b[1, 0], b[1, 1], 24)
+        fine = _kernels.qubit_grid_min(b[0, 0], b[0, 1], b[1, 0], b[1, 1], 96)
+        assert exact - 1e-9 <= fine <= coarse
+        assert fine == pytest.approx(exact, abs=1e-3)
 
 
 class TestToeplitzBackends:
+    """The FFT product, the one path the hash takes, against the naive
+    product."""
+
     @staticmethod
     def naive(diag, x, out_len):
         n = len(x)
@@ -77,32 +101,4 @@ class TestToeplitzBackends:
         rng = np.random.default_rng(in_len * 1000 + out_len)
         diag = rng.integers(0, 2, size=out_len + in_len - 1, dtype=np.uint8)
         x = rng.integers(0, 2, size=in_len, dtype=np.uint8)
-        expected = self.naive(diag, x, out_len)
-        assert np.array_equal(_kernels._toeplitz_gf2_fft(diag, x, out_len), expected)
-        e_words = _kernels._pack_bits_u64(diag[::-1].copy(), pad_words=2)
-        x_words = _kernels._pack_bits_u64(x, pad_words=1)
-        packed = _kernels._toeplitz_gf2_packed(e_words, x_words, out_len, (in_len + 63) // 64)
-        assert np.array_equal(packed, expected)
-        assert np.array_equal(_kernels.toeplitz_gf2(diag, x, out_len), expected)
-
-
-class TestEnvFlag:
-    def test_fallback_mode_reproduces_values(self):
-        # A subprocess with the override flag must disable the compiled
-        # path and still produce the same qubit roof value.
-        code = (
-            "import cohrand\n"
-            "from cohrand import _kernels, random_density\n"
-            "from cohrand.roof import optimize_roof, RoofConfig\n"
-            "assert not _kernels.USE_NUMBA\n"
-            "rho = random_density(2, 2, 42)\n"
-            "print(repr(optimize_roof(rho, RoofConfig(restarts=4)).value))\n"
-        )
-        env = dict(os.environ, COHRAND_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        from cohrand.roof import RoofConfig, optimize_roof
-
-        here = optimize_roof(random_density(2, 2, 42), RoofConfig(restarts=4)).value
-        assert float(out.stdout.strip()) == pytest.approx(here, abs=1e-9)
+        assert np.array_equal(_kernels.toeplitz_gf2(diag, x, out_len), self.naive(diag, x, out_len))

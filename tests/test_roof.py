@@ -105,6 +105,18 @@ class TestOptimizeRoof:
         with pytest.raises(ValueError):
             optimize_roof(rho, RoofConfig(ensemble_size=2))
 
+    @pytest.mark.parametrize("seeds", [(12, 13), (14, 15)])
+    def test_exact_value_of_two_qubit_product(self, seeds):
+        # The roof is additive (Winter & Yang, PRL 116, 120404 (2016)), so
+        # the d = 4 value of a product of qubits is the sum of two analytic
+        # qubit values.
+        a, b = (random_density(2, 2, seed=s) for s in seeds)
+        rho = DensityMatrix(np.kron(a.mat, b.mat))
+        result = optimize_roof(rho, RoofConfig(restarts=4))
+        assert result.converged
+        exact = r_qubit_analytic(a).value + r_qubit_analytic(b).value
+        assert result.value == pytest.approx(exact, abs=1e-6)
+
     def test_dominates_rel_ent_in_dimension_three(self):
         # The roof value upper-estimates the true minimum, which itself
         # dominates the relative-entropy measure; and it never exceeds the

@@ -20,7 +20,7 @@ from cohrand import (
     validate_density,
     von_neumann_entropy,
 )
-from cohrand.errors import DimensionNot2, NotHermitian, NotPSD, TraceNotOne
+from cohrand.errors import DimensionNot2, NotFinite, NotHermitian, NotPSD, TraceNotOne
 
 
 class TestValidateDensity:
@@ -54,11 +54,29 @@ class TestValidateDensity:
         with pytest.raises(NotHermitian):
             validate_density(m, tol=1e-14)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN fails every tolerance comparison, so it needs its own check.
+        m = np.diag([bad, 1.0]).astype(complex)
+        with pytest.raises(NotFinite):
+            validate_density(m)
+        m = np.eye(2, dtype=complex) / 2
+        m[0, 1] = m[1, 0] = complex(0.0, bad)
+        with pytest.raises(NotFinite):
+            validate_density(m)
+
 
 class TestPureState:
     def test_norm_enforced(self):
         with pytest.raises(ValueError):
             pure_state([1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(NotFinite):
+            pure_state([bad, 1.0])
+        with pytest.raises(NotFinite):
+            pure_state([complex(1.0, bad), 0.0])
 
     def test_projector_is_valid_density(self):
         psi = pure_state([0.6, 0.8j])
@@ -118,6 +136,11 @@ class TestBloch:
     def test_rejects_outside_sphere(self):
         with pytest.raises(ValueError):
             bloch_to_density([1.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(NotFinite):
+            bloch_to_density([0.0, bad, 0.0])
 
     def test_rejects_non_qubit(self):
         with pytest.raises(DimensionNot2):
