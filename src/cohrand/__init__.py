@@ -21,18 +21,14 @@ from .channels import (
 from .distill import (
     DistillationReport,
     ExactRun,
-    GroupOutcome,
     binomial_outcome_distribution,
-    coherence_loss_ledger,
     distill_exact,
     distill_simulate,
     log2_binomial,
-    regularized_roof_estimate,
     sample_exact_outcomes,
 )
 from .measures import (
     MeasureId,
-    MeasureValue,
     binary_entropy,
     c_l1,
     c_rel_ent,
@@ -44,7 +40,6 @@ from .measures import (
 )
 from .rng import (
     ExtractionReport,
-    OutcomeStream,
     PipelineComparison,
     empirical_entropy,
     min_entropy,
@@ -60,10 +55,12 @@ from .roof import (
     brute_force_roof_qubit,
     decomposition_from_isometry,
     optimize_roof,
+    regularized_roof_estimate,
     roof_objective,
 )
 from .states import (
     DensityMatrix,
+    OutcomeStream,
     PureState,
     basis_state,
     bloch_to_density,

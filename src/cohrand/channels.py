@@ -73,18 +73,18 @@ def exact_measure_value(measure: MeasureId, rho: DensityMatrix) -> float:
     roof has an exact analytic form.
     """
     if measure == MeasureId.REL_ENT:
-        return c_rel_ent(rho).value
+        return c_rel_ent(rho)
     if measure == MeasureId.L1:
-        return c_l1(rho).value
+        return c_l1(rho)
     if measure == MeasureId.QUBIT_ANALYTIC:
-        return r_qubit_analytic(rho).value
+        return r_qubit_analytic(rho)
     if measure == MeasureId.ROOF_RANDOMNESS:
         if rho.dim != 2:
             raise NonExactMeasure(
                 "optimizer-based roof values are upper estimates for d > 2; "
                 "property checks need an exact measure"
             )
-        return r_qubit_analytic(rho).value
+        return r_qubit_analytic(rho)
     raise ValueError(f"unknown measure {measure}")
 
 

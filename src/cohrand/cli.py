@@ -1,7 +1,9 @@
 """Batch command line interface.
 
 Subcommands: measures, roof, verify, distill, sample, pipeline. All
-structured output is JSON on stdout.
+structured output is JSON on stdout. Exit codes: 0 success, 1 a property
+violation found by ``verify``, 2 a usage error, 3 a rejected input or a
+failed computation, reported as one JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 
 from .channels import PropertyReport
 from .distill import distill_exact, distill_simulate
+from .errors import CohrandError
 from .measures import (
     MeasureId,
     c_l1,
@@ -23,10 +26,10 @@ from .measures import (
     r_pure,
     r_qubit_analytic,
 )
-from .rng import pipeline_compare, sample_measurement
+from .rng import DEFAULT_RATE_MARGIN, pipeline_compare, sample_measurement
 from .roof import RoofConfig, optimize_roof
 from .stateio import load_state, pure_to_dict, save_stream
-from .states import DensityMatrix, PureState, pure_state
+from .states import DEFAULT_TOL, DensityMatrix, PureState, pure_state
 from .verify import DEFAULT_MEASURES, run_property_suite
 
 
@@ -52,14 +55,14 @@ def _cmd_measures(args) -> int:
     rho = _as_density(state)
     out = {
         "dim": rho.dim,
-        "rel_ent": c_rel_ent(rho).value,
-        "l1": c_l1(rho).value,
+        "rel_ent": c_rel_ent(rho),
+        "l1": c_l1(rho),
     }
     if isinstance(state, PureState):
-        out["r_pure"] = r_pure(state).value
+        out["r_pure"] = r_pure(state)
     if rho.dim == 2:
         out["concurrence"] = coherence_concurrence_qubit(rho)
-        out["qubit_analytic"] = r_qubit_analytic(rho).value
+        out["qubit_analytic"] = r_qubit_analytic(rho)
     _emit(out)
     return 0
 
@@ -143,7 +146,7 @@ def _cmd_distill(args) -> int:
 def _cmd_sample(args) -> int:
     state = load_state(args.state)
     if not isinstance(state, PureState):
-        raise SystemExit("sample needs a pure state file (amplitudes)")
+        raise ValueError("sample needs a pure state file (amplitudes)")
     stream = sample_measurement(state, args.n, args.seed)
     if args.out:
         save_stream(stream, args.out)
@@ -156,7 +159,7 @@ def _cmd_sample(args) -> int:
 def _cmd_pipeline(args) -> int:
     state = load_state(args.state)
     if not isinstance(state, PureState):
-        raise SystemExit("pipeline needs a pure state file (amplitudes)")
+        raise ValueError("pipeline needs a pure state file (amplitudes)")
     cmp = pipeline_compare(
         state,
         n_groups=args.groups,
@@ -186,16 +189,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measures", help="print all applicable coherence measures for a state")
     p.add_argument("state")
-    p.add_argument("--tol", type=float, default=1e-10, help="validation tolerance")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="validation tolerance")
     p.set_defaults(func=_cmd_measures)
 
+    roof = RoofConfig()
     p = sub.add_parser("roof", help="optimize the convex-roof randomness measure")
     p.add_argument("state")
-    p.add_argument("--ensemble-size", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--tolerance", type=float, default=1e-8)
-    p.add_argument("--max-iterations", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--ensemble-size", type=int, default=roof.ensemble_size)
+    p.add_argument("--restarts", type=int, default=roof.restarts)
+    p.add_argument("--tolerance", type=float, default=roof.tolerance)
+    p.add_argument("--max-iterations", type=int, default=roof.max_iterations)
+    p.add_argument("--seed", type=int, default=roof.seed)
     p.set_defaults(func=_cmd_roof)
 
     p = sub.add_parser("verify", help="run the coherence-measure property suite")
@@ -230,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--groups", type=int, default=200)
     p.add_argument("--group-n", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--margin", type=float, default=0.02)
+    p.add_argument("--margin", type=float, default=DEFAULT_RATE_MARGIN)
     p.add_argument("--entropy", choices=["shannon", "min"], default="shannon")
     p.set_defaults(func=_cmd_pipeline)
 
@@ -239,7 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (CohrandError, ValueError, OSError) as exc:
+        error = {"error": type(exc).__name__, "message": str(exc), "command": args.command}
+        sys.stderr.write(json.dumps(error) + "\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -3,33 +3,25 @@
 Two modes: an exact state-vector simulation for small copy counts, which
 verifies the protocol's state-level claims literally, and a statistical
 bookkeeping mode for large copy counts, which tracks subspace dimensions as
-log2 values and never materializes the 2^N-dimensional vectors. Also hosts
-the coherence-loss ledger and a small regularized-roof estimator.
+log2 values and never materializes the 2^N-dimensional vectors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import TooLarge
 from .measures import r_pure
-from .roof import RoofConfig, optimize_roof
-from .states import DensityMatrix, PureState
+from .states import PureState
 
 EXACT_MODE_MAX_QUBITS = 20
 LN2 = math.log(2.0)
 
-
-@dataclass(frozen=True)
-class GroupOutcome:
-    k: int
-    p: float
-    log2_dim: float  # log2 C(N, k)
+# math.lgamma mapped over arrays, which keeps scipy off the import path.
+_lgamma = np.frompyfunc(math.lgamma, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -57,12 +49,14 @@ class ExactRun:
 def log2_binomial(n: int, k) -> np.ndarray:
     """log2 C(n, k) via log-gamma; no big-integer overflow."""
     k = np.asarray(k, dtype=float)
-    return (gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)) / LN2
+    ln_c = math.lgamma(n + 1.0) - _lgamma(k + 1.0) - _lgamma(n - k + 1.0)
+    return np.asarray(ln_c, dtype=float) / LN2
 
 
-def binomial_outcome_distribution(n_copies: int, p0: float) -> list:
-    """The N+1 subspace outcomes for |alpha|^2 = p0: probability
-    C(N,k) p0^(N-k) (1-p0)^k and subspace log2-dimension log2 C(N,k)."""
+def binomial_outcome_distribution(n_copies: int, p0: float) -> tuple[np.ndarray, np.ndarray]:
+    """The N+1 subspace outcomes for |alpha|^2 = p0, as two arrays indexed
+    by the excitation count k: probabilities C(N,k) p0^(N-k) (1-p0)^k and
+    subspace log2-dimensions log2 C(N,k)."""
     if not 0.0 <= p0 <= 1.0:
         raise ValueError(f"p0 must be in [0, 1], got {p0}")
     if n_copies < 1:
@@ -80,9 +74,7 @@ def binomial_outcome_distribution(n_copies: int, p0: float) -> list:
         probs[0] = 1.0
     else:
         probs = np.exp(log2_d * LN2 + logp + logq)
-    return [
-        GroupOutcome(int(k), float(probs[k]), float(log2_d[k])) for k in range(n_copies + 1)
-    ]
+    return probs, log2_d
 
 
 def _qubit_amplitudes(psi: PureState):
@@ -152,16 +144,14 @@ def distill_simulate(psi: PureState, n_copies: int, n_groups: int, seed: int) ->
         raise ValueError("need n_copies >= 1 and n_groups >= 1")
     alpha, beta = _qubit_amplitudes(psi)
     p0 = abs(alpha) ** 2
-    outcomes = binomial_outcome_distribution(n_copies, p0)
-    probs = np.array([o.p for o in outcomes])
-    log2_d = np.array([o.log2_dim for o in outcomes])
+    probs, log2_d = binomial_outcome_distribution(n_copies, p0)
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
     rng = np.random.default_rng(seed)
     sampled = np.searchsorted(cdf, rng.random(n_groups), side="right")
     total = float(np.sum(log2_d[sampled]))
     r = int(math.floor(total + 1e-12))
-    randomness = r_pure(psi).value
+    randomness = r_pure(psi)
     loss_actual = n_copies * n_groups * randomness - r
     loss_bound = n_groups * math.log2(n_copies) + 1.0
     return DistillationReport(
@@ -175,28 +165,3 @@ def distill_simulate(psi: PureState, n_copies: int, n_groups: int, seed: int) ->
         loss_actual=loss_actual,
         loss_bound=loss_bound,
     )
-
-
-def coherence_loss_ledger(report: DistillationReport):
-    """(loss_actual, loss_bound): realized coherence loss of a run versus
-    the M log2 N + 1 bound, as :func:`distill_simulate` recorded them.
-
-    Single tiny runs can come out slightly ahead by luck; non-negativity
-    holds in expectation and is asserted at protocol scale in the tests.
-    """
-    return report.loss_actual, report.loss_bound
-
-
-def regularized_roof_estimate(
-    rho: DensityMatrix, copies: int, config: Optional[RoofConfig] = None
-) -> float:
-    """Per-copy roof value of rho^(x copies) in the product basis."""
-    if copies not in (1, 2):
-        raise ValueError("copies must be 1 or 2")
-    if rho.dim**copies > 16:
-        raise TooLarge(f"d^copies = {rho.dim**copies} exceeds the optimizer bound of 16")
-    mat = rho.mat
-    for _ in range(copies - 1):
-        mat = np.kron(mat, rho.mat)
-    result = optimize_roof(DensityMatrix(mat), config or RoofConfig())
-    return result.value / copies

@@ -7,7 +7,6 @@ the exact qubit randomness formula built on the coherence concurrence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -31,12 +30,6 @@ class MeasureId(str, Enum):
     QUBIT_ANALYTIC = "qubit_analytic"
 
 
-@dataclass(frozen=True)
-class MeasureValue:
-    value: float
-    measure_id: MeasureId
-
-
 def binary_entropy(p: float) -> float:
     """H(p) in bits with the 0 log 0 = 0 convention."""
     if p <= 0.0 or p >= 1.0:
@@ -44,7 +37,7 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def c_rel_ent(rho: DensityMatrix) -> MeasureValue:
+def c_rel_ent(rho: DensityMatrix) -> float:
     """Relative-entropy coherence: S(rho^diag) - S(rho).
 
     The minimum over incoherent states is attained at the dephased state,
@@ -52,21 +45,19 @@ def c_rel_ent(rho: DensityMatrix) -> MeasureValue:
     the test suite).
     """
     value = von_neumann_entropy(dephase(rho)) - von_neumann_entropy(rho)
-    return MeasureValue(max(value, 0.0), MeasureId.REL_ENT)
+    return max(value, 0.0)
 
 
-def c_l1(rho: DensityMatrix) -> MeasureValue:
+def c_l1(rho: DensityMatrix) -> float:
     """l1-norm coherence: sum of off-diagonal magnitudes."""
     a = np.abs(rho.mat)
-    value = float(a.sum() - np.trace(a))
-    return MeasureValue(value, MeasureId.L1)
+    return float(a.sum() - np.trace(a))
 
 
-def r_pure(psi: PureState) -> MeasureValue:
+def r_pure(psi: PureState) -> float:
     """Randomness of a pure state: Shannon entropy of |a_i|^2."""
     p = psi.probabilities()
-    value = shannon_entropy(p / p.sum())
-    return MeasureValue(value, MeasureId.ROOF_RANDOMNESS)
+    return shannon_entropy(p / p.sum())
 
 
 def coherence_concurrence_qubit(rho: DensityMatrix) -> float:
@@ -88,14 +79,13 @@ def coherence_concurrence_qubit(rho: DensityMatrix) -> float:
     return float(2.0 * abs(rho.mat[0, 1]))
 
 
-def r_qubit_analytic(rho: DensityMatrix) -> MeasureValue:
+def r_qubit_analytic(rho: DensityMatrix) -> float:
     """Exact qubit randomness: H((1 + sqrt(1 - C_z^2)) / 2)."""
     if rho.dim != 2:
         raise DimensionNot2(f"analytic qubit randomness needs d=2, got d={rho.dim}")
     cz = coherence_concurrence_qubit(rho)
     arg = max(1.0 - cz * cz, 0.0)
-    value = binary_entropy((1.0 + math.sqrt(arg)) / 2.0)
-    return MeasureValue(value, MeasureId.QUBIT_ANALYTIC)
+    return binary_entropy((1.0 + math.sqrt(arg)) / 2.0)
 
 
 def concurrence_bloch(rho: DensityMatrix) -> float:

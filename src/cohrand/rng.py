@@ -15,16 +15,9 @@ import numpy as np
 from ._kernels import toeplitz_gf2
 from .errors import RateOutOfRange
 from .distill import distill_simulate
-from .states import PureState, shannon_entropy
+from .states import OutcomeStream, PureState, shannon_entropy
 
 DEFAULT_RATE_MARGIN = 0.02
-
-
-@dataclass(frozen=True)
-class OutcomeStream:
-    symbols: np.ndarray  # integers in 0..dim-1
-    source_dim: int
-    seed: int
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ The mixed-state value is the minimum, over all pure-state decompositions of
 rho, of the ensemble average of the pure-state randomness. Decompositions of
 size m are parameterized by m x r isometries applied to the support
 eigendecomposition; the optimizer runs a multi-start descent on that
-manifold. A brute-force grid over 2x2 mixing unitaries serves as an
+manifold, also on two copies of rho for a regularized estimate. A
+brute-force grid over 2x2 mixing unitaries serves as an
 independent qubit oracle.
 """
 
@@ -17,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionNot2, NotIsometry, RankMismatch
+from .errors import DimensionNot2, NotIsometry, RankMismatch, TooLarge
 from .measures import r_pure
 from .states import DensityMatrix, PureState
 
@@ -37,9 +38,6 @@ class Decomposition:
         for p, psi in self.elements:
             acc += p * np.outer(psi.amps, psi.amps.conj())
         return acc
-
-    def total_weight(self) -> float:
-        return float(sum(p for p, _ in self.elements))
 
 
 @dataclass(frozen=True)
@@ -63,11 +61,6 @@ def _support_eigendecomposition(rho: DensityMatrix):
     lam, vec = np.linalg.eigh(rho.mat)
     keep = lam > RANK_THRESHOLD
     return lam[keep], vec[:, keep]
-
-
-def support_rank(rho: DensityMatrix) -> int:
-    lam, _ = _support_eigendecomposition(rho)
-    return int(lam.shape[0])
 
 
 def decomposition_from_isometry(rho: DensityMatrix, W: np.ndarray) -> Decomposition:
@@ -100,7 +93,7 @@ def decomposition_from_isometry(rho: DensityMatrix, W: np.ndarray) -> Decomposit
 
 def roof_objective(decomp: Decomposition) -> float:
     """Ensemble average of the pure-state randomness, in bits."""
-    return float(sum(p * r_pure(psi).value for p, psi in decomp.elements))
+    return float(sum(p * r_pure(psi) for p, psi in decomp.elements))
 
 
 def optimize_roof(rho: DensityMatrix, config: RoofConfig = RoofConfig()) -> RoofResult:
@@ -137,6 +130,21 @@ def optimize_roof(rho: DensityMatrix, config: RoofConfig = RoofConfig()) -> Roof
     return RoofResult(roof_objective(decomp), decomp, converged, config.restarts)
 
 
+def regularized_roof_estimate(
+    rho: DensityMatrix, copies: int, config: Optional[RoofConfig] = None
+) -> float:
+    """Per-copy roof value of rho^(x copies) in the product basis."""
+    if copies not in (1, 2):
+        raise ValueError("copies must be 1 or 2")
+    if rho.dim**copies > 16:
+        raise TooLarge(f"d^copies = {rho.dim**copies} exceeds the optimizer bound of 16")
+    mat = rho.mat
+    for _ in range(copies - 1):
+        mat = np.kron(mat, rho.mat)
+    result = optimize_roof(DensityMatrix(mat), config or RoofConfig())
+    return result.value / copies
+
+
 def brute_force_roof_qubit(rho: DensityMatrix, grid_n: int) -> float:
     """Independent oracle: exhaustive grid over 2x2 mixing unitaries
     (three angles, grid_n points each) applied to the eigendecomposition."""
@@ -144,7 +152,7 @@ def brute_force_roof_qubit(rho: DensityMatrix, grid_n: int) -> float:
         raise DimensionNot2(f"brute-force oracle needs d=2, got d={rho.dim}")
     lam, vec = _support_eigendecomposition(rho)
     if lam.shape[0] == 1:
-        return r_pure(PureState(vec[:, 0])).value
+        return r_pure(PureState(vec[:, 0]))
     bt = (vec * np.sqrt(lam)).T
     return float(
         _kernels.qubit_grid_min(

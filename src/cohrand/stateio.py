@@ -19,8 +19,15 @@ from typing import Union
 
 import numpy as np
 
-from .rng import OutcomeStream
-from .states import DensityMatrix, PureState, bloch_to_density, pure_state, validate_density
+from .states import (
+    DEFAULT_TOL,
+    DensityMatrix,
+    OutcomeStream,
+    PureState,
+    bloch_to_density,
+    pure_state,
+    validate_density,
+)
 
 
 def _complex_array(pairs, what: str) -> np.ndarray:
@@ -30,21 +37,29 @@ def _complex_array(pairs, what: str) -> np.ndarray:
     return arr[:, 0] + 1j * arr[:, 1]
 
 
-def load_state(path, tol: float = 1e-10) -> Union[DensityMatrix, PureState]:
+def _dim(data: dict) -> int:
+    if "dim" not in data:
+        raise ValueError("entries and amplitudes need a dim")
+    return int(data["dim"])
+
+
+def load_state(path, tol: float = DEFAULT_TOL) -> Union[DensityMatrix, PureState]:
     data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValueError(f"a state file holds a JSON object, got {type(data).__name__}")
     if "bloch" in data:
         n = data["bloch"]
-        if len(n) != 3:
-            raise ValueError("bloch must have three components")
+        if not isinstance(n, list) or len(n) != 3:
+            raise ValueError("bloch must be a list of three components")
         return bloch_to_density(n)
     if "amplitudes" in data:
-        dim = int(data["dim"])
+        dim = _dim(data)
         amps = _complex_array(data["amplitudes"], "amplitudes")
         if amps.shape[0] != dim:
             raise ValueError(f"expected {dim} amplitudes, got {amps.shape[0]}")
         return pure_state(amps)
     if "entries" in data:
-        dim = int(data["dim"])
+        dim = _dim(data)
         flat = _complex_array(data["entries"], "entries")
         if flat.shape[0] != dim * dim:
             raise ValueError(f"expected {dim * dim} entries, got {flat.shape[0]}")

@@ -1,5 +1,6 @@
-"""Core quantum state types: density matrices, pure states, entropies,
-dephasing, Bloch-sphere conversions and seeded random-state generation.
+"""Core quantum state types: density matrices, pure states, measurement
+outcome streams, entropies, dephasing, Bloch-sphere conversions and seeded
+random-state generation.
 
 All entropies are in bits (log base 2). Every operation here is a pure
 function of its inputs plus an explicit seed; returned objects are safe to
@@ -52,6 +53,15 @@ class PureState:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
+
+
+@dataclass(frozen=True)
+class OutcomeStream:
+    """Computational-basis measurement outcomes of a d-level source."""
+
+    symbols: np.ndarray  # integers in 0..dim-1
+    source_dim: int
+    seed: int
 
 
 def _require_finite(values, what: str) -> None:

@@ -13,7 +13,7 @@ from .channels import (
     random_incoherent_kraus,
 )
 from .measures import MeasureId, c_l1, r_qubit_analytic
-from .states import DensityMatrix, random_density, validate_density
+from .states import DensityMatrix, random_density
 
 DEFAULT_MEASURES = (MeasureId.REL_ENT, MeasureId.L1, MeasureId.QUBIT_ANALYTIC)
 SLACK_TOL = 1e-9
@@ -55,9 +55,9 @@ def check_strict_positivity(samples: int = 1000, seed: int = 0) -> PropertyRepor
     witness = None
     for i in range(samples):
         rho = random_density(2, 2 if i % 2 else 1, seed + i)
-        if c_l1(rho).value <= 1e-3:
+        if c_l1(rho) <= 1e-3:
             continue
-        slack = 1e-6 - r_qubit_analytic(rho).value
+        slack = 1e-6 - r_qubit_analytic(rho)
         if slack > worst:
             worst = slack
             witness = i if slack > 0 else witness

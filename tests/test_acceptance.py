@@ -16,16 +16,12 @@ asymptotic claim is checked at N = 5000 copies per group (10^6 copies over
 """
 
 import math
-import sys
 import time
 
 import numpy as np
-import pytest
 from scipy.stats import binom
 
-import cohrand as cr
 from cohrand import (
-    MeasureId,
     RoofConfig,
     binary_entropy,
     brute_force_roof_qubit,
@@ -73,7 +69,7 @@ def test_criterion_01_roof_matches_analytic_qubit():
     for i in range(200):
         rho = random_density(2, 1 + i % 2, seed=1000 + i)
         res = optimize_roof(rho, RoofConfig(seed=i))
-        worst = max(worst, abs(res.value - r_qubit_analytic(rho).value))
+        worst = max(worst, abs(res.value - r_qubit_analytic(rho)))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-6 and elapsed <= 60.0
     _line(1, ok, f"roof vs analytic on 200 qubits: worst {worst:.2e} (<=1e-6), {elapsed:.1f}s (<=60s)")
@@ -83,7 +79,7 @@ def test_criterion_02_brute_force_oracle():
     worst = 0.0
     for i in range(50):
         rho = random_density(2, 2, seed=2000 + i)
-        worst = max(worst, abs(brute_force_roof_qubit(rho, 128) - r_qubit_analytic(rho).value))
+        worst = max(worst, abs(brute_force_roof_qubit(rho, 128) - r_qubit_analytic(rho)))
     ok = worst <= 1e-3
     _line(2, ok, f"grid oracle (grid_n=128) vs analytic on 50 qubits: worst {worst:.2e} (<=1e-3)")
 
@@ -94,7 +90,7 @@ def test_criterion_03_concurrence_consistency():
     for i in range(1000):
         rho = random_density(2, 2, seed=3000 + i)
         worst_paths = max(worst_paths, abs(concurrence_spin_flip(rho) - concurrence_bloch(rho)))
-        worst_l1 = max(worst_l1, abs(c_l1(rho).value - coherence_concurrence_qubit(rho)))
+        worst_l1 = max(worst_l1, abs(c_l1(rho) - coherence_concurrence_qubit(rho)))
     ok = worst_paths <= 1e-10 and worst_l1 <= 1e-10
     _line(3, ok, f"concurrence paths on 1000 qubits: matrix-vs-Bloch {worst_paths:.2e}, l1-vs-C {worst_l1:.2e} (<=1e-10)")
 
@@ -104,7 +100,7 @@ def test_criterion_04_pure_state_identity():
     for i in range(500):
         d = 2 + i % 5
         psi = haar_random_pure(d, seed=4000 + i)
-        worst = max(worst, abs(r_pure(psi).value - c_rel_ent(psi.projector()).value))
+        worst = max(worst, abs(r_pure(psi) - c_rel_ent(psi.projector())))
     ok = worst <= 1e-12
     _line(4, ok, f"pure randomness equals relative-entropy coherence, 500 states: worst {worst:.2e} (<=1e-12)")
 
@@ -160,11 +156,11 @@ def test_criterion_07_exact_protocol():
 def test_criterion_08_regularized_estimate():
     rho = random_density(2, 2, seed=8000)
     two = regularized_roof_estimate(rho, 2, RoofConfig(restarts=8, seed=0))
-    single = r_qubit_analytic(rho).value
+    single = r_qubit_analytic(rho)
     mixed_ok = two <= single + 1e-6
     psi = pure_state([math.sqrt(0.7), math.sqrt(0.3)])
     two_pure = regularized_roof_estimate(psi.projector(), 2, RoofConfig(restarts=8, seed=1))
-    pure_dev = abs(two_pure - r_pure(psi).value)
+    pure_dev = abs(two_pure - r_pure(psi))
     ok = mixed_ok and pure_dev <= 1e-6
     _line(8, ok, f"two-copy per-copy {two:.6f} <= single {single:.6f}+1e-6, pure additivity dev {pure_dev:.1e} (<=1e-6)")
 
@@ -211,9 +207,9 @@ def test_criterion_10_bounds():
         rho = random_density(d, 1 + i % d, seed=10_000 + i)
         # Entropy-based measures are bounded by log2 d; the l1 measure by
         # its own maximum d - 1, so it is normalized to the same scale.
-        values = [c_rel_ent(rho).value, c_l1(rho).value * math.log2(d) / (d - 1)]
+        values = [c_rel_ent(rho), c_l1(rho) * math.log2(d) / (d - 1)]
         if d == 2:
-            values.append(r_qubit_analytic(rho).value)
+            values.append(r_qubit_analytic(rho))
         for v in values:
             worst_low = max(worst_low, -v)
             worst_high = max(worst_high, v - math.log2(d))

@@ -1,5 +1,6 @@
 """State-file round trips and the batch command line interface."""
 
+import dataclasses
 import json
 import math
 
@@ -9,13 +10,23 @@ import pytest
 from cohrand import (
     DensityMatrix,
     OutcomeStream,
+    RoofConfig,
     maximally_coherent_state,
     pure_state,
     random_density,
 )
-from cohrand.cli import _emit, main
+from cohrand.cli import _emit, build_parser, main
 from cohrand.errors import NotFinite, NotPSD
 from cohrand.stateio import load_state, load_stream, save_state, save_stream
+
+
+# Malformed state files that once escaped load_state as a TypeError or a
+# KeyError instead of a ValueError.
+MALFORMED = {
+    "not_an_object": "7",
+    "missing_dim": '{"amplitudes": [[1, 0], [0, 0]]}',
+    "bloch_not_a_list": '{"bloch": 5}',
+}
 
 
 @pytest.fixture
@@ -23,6 +34,20 @@ def plus_file(tmp_path):
     path = tmp_path / "plus.json"
     save_state(maximally_coherent_state(2), path)
     return str(path)
+
+
+@pytest.fixture
+def density_file(tmp_path):
+    path = tmp_path / "rho.json"
+    save_state(random_density(2, 2, seed=2), path)
+    return str(path)
+
+
+def cli_error(capsys) -> dict:
+    """The JSON error object main wrote to stderr; stdout must be empty."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return json.loads(captured.err)
 
 
 class TestStateFiles:
@@ -72,6 +97,13 @@ class TestStateFiles:
         with pytest.raises(ValueError):
             load_state(path)
 
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_file_raises_value_error(self, case, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(MALFORMED[case])
+        with pytest.raises(ValueError):
+            load_state(path)
+
 
 class TestStreamFiles:
     def test_round_trip(self, tmp_path):
@@ -108,9 +140,19 @@ class TestCli:
         # invalid JSON ("l1": NaN) reaches stdout.
         path = tmp_path / "nan_rho.json"
         path.write_text('{"dim": 2, "entries": [[NaN, 0], [0, 0], [0, 0], [1, 0]]}')
-        with pytest.raises(NotFinite):
-            main(["measures", str(path)])
-        assert capsys.readouterr().out == ""
+        assert main(["measures", str(path)]) == 3
+        error = cli_error(capsys)
+        assert error["error"] == "NotFinite" and error["command"] == "measures"
+        assert "NaN" in error["message"]
+
+    def test_unreadable_input_is_a_structured_error(self, tmp_path, capsys):
+        assert main(["roof", str(tmp_path / "missing.json")]) == 3
+        error = cli_error(capsys)
+        assert error["error"] == "FileNotFoundError" and error["command"] == "roof"
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        assert main(["measures", str(bad)]) == 3
+        assert cli_error(capsys)["error"] == "JSONDecodeError"
 
     def test_output_is_strict_json(self, capsys):
         # JSON has no NaN or Infinity; refuse to print them, and print
@@ -119,6 +161,11 @@ class TestCli:
             with pytest.raises(ValueError):
                 _emit({"dim": 2, "l1": bad})
         assert capsys.readouterr().out == ""
+
+    def test_roof_defaults_come_from_roof_config(self):
+        args = build_parser().parse_args(["roof", "x.json"])
+        for field in dataclasses.fields(RoofConfig):
+            assert getattr(args, field.name) == getattr(RoofConfig(), field.name), field.name
 
     def test_roof(self, tmp_path, capsys):
         path = tmp_path / "rho.json"
@@ -157,11 +204,17 @@ class TestCli:
         stream = load_stream(out_path)
         assert len(stream.symbols) == 100
 
-    def test_sample_rejects_density(self, tmp_path):
-        path = tmp_path / "rho.json"
-        save_state(random_density(2, 2, seed=2), path)
-        with pytest.raises(SystemExit):
-            main(["sample", str(path), "--n", "10"])
+    def test_sample_rejects_density(self, density_file, capsys):
+        assert main(["sample", density_file, "--n", "10"]) == 3
+        assert cli_error(capsys) == {
+            "error": "ValueError",
+            "message": "sample needs a pure state file (amplitudes)",
+            "command": "sample",
+        }
+
+    def test_pipeline_rejects_density(self, density_file, capsys):
+        assert main(["pipeline", density_file]) == 3
+        assert cli_error(capsys)["message"] == "pipeline needs a pure state file (amplitudes)"
 
     def test_pipeline(self, plus_file, capsys):
         assert main(["pipeline", plus_file, "--groups", "10", "--group-n", "10"]) == 0

@@ -69,7 +69,7 @@ class TestRoofDescent:
         bt, w0 = random_ensemble(2, seed)
         value, w, converged = _kernels.roof_descent(bt, w0, 2000, 1e-8 * math.log(2.0))
         assert converged
-        assert value == pytest.approx(r_qubit_analytic(rho).value, abs=1e-6)
+        assert value == pytest.approx(r_qubit_analytic(rho), abs=1e-6)
         assert np.max(np.abs(w.conj().T @ w - np.eye(2))) < 1e-10
 
 
@@ -79,7 +79,7 @@ class TestQubitGrid:
         # overshoot shrinks with the grid spacing.
         rho = random_density(2, 2, 2)
         b = support_rows(rho)
-        exact = r_qubit_analytic(rho).value
+        exact = r_qubit_analytic(rho)
         coarse = _kernels.qubit_grid_min(b[0, 0], b[0, 1], b[1, 0], b[1, 1], 24)
         fine = _kernels.qubit_grid_min(b[0, 0], b[0, 1], b[1, 0], b[1, 1], 96)
         assert exact - 1e-9 <= fine <= coarse

@@ -49,40 +49,40 @@ class TestBinaryEntropy:
 class TestRelEnt:
     def test_vanishes_on_diagonal(self):
         rho = DensityMatrix(np.diag([0.2, 0.3, 0.5]).astype(complex))
-        assert c_rel_ent(rho).value == pytest.approx(0.0, abs=1e-12)
+        assert c_rel_ent(rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_coherent(self):
         for d in (2, 3, 4):
             rho = maximally_coherent_state(d).projector()
-            assert c_rel_ent(rho).value == pytest.approx(math.log2(d), abs=1e-10)
+            assert c_rel_ent(rho) == pytest.approx(math.log2(d), abs=1e-10)
 
     @pytest.mark.parametrize("d,seed,expected", REL_ENT_ORACLE)
     def test_matches_independent_minimizer(self, d, seed, expected):
         rho = random_density(d, d, seed)
-        assert c_rel_ent(rho).value == pytest.approx(expected, abs=1e-9)
+        assert c_rel_ent(rho) == pytest.approx(expected, abs=1e-9)
 
 
 class TestL1:
     def test_vanishes_on_diagonal(self):
         rho = DensityMatrix(np.diag([0.4, 0.6]).astype(complex))
-        assert c_l1(rho).value == 0.0
+        assert c_l1(rho) == 0.0
 
     def test_maximally_coherent(self):
         for d in (2, 3, 5):
             rho = maximally_coherent_state(d).projector()
-            assert c_l1(rho).value == pytest.approx(d - 1, abs=1e-12)
+            assert c_l1(rho) == pytest.approx(d - 1, abs=1e-12)
 
 
 class TestPureRandomness:
     def test_basis_state_zero(self):
-        assert r_pure(pure_state([1.0, 0.0])).value == 0.0
+        assert r_pure(pure_state([1.0, 0.0])) == 0.0
 
     def test_balanced_superposition(self):
-        assert r_pure(maximally_coherent_state(2)).value == pytest.approx(1.0)
+        assert r_pure(maximally_coherent_state(2)) == pytest.approx(1.0)
 
     def test_matches_binary_entropy(self):
         psi = pure_state([math.sqrt(0.3), math.sqrt(0.7)])
-        assert r_pure(psi).value == pytest.approx(binary_entropy(0.3))
+        assert r_pure(psi) == pytest.approx(binary_entropy(0.3))
 
 
 class TestQubitConcurrence:
@@ -113,7 +113,7 @@ class TestQubitConcurrence:
         for i in range(50):
             rho = random_density(2, 1 + i % 2, seed=200 + i)
             assert coherence_concurrence_qubit(rho) == pytest.approx(
-                c_l1(rho).value, abs=1e-12
+                c_l1(rho), abs=1e-12
             )
 
     def test_rejects_non_qubit(self):
@@ -127,22 +127,22 @@ class TestQubitAnalytic:
         # R = H((1 + sqrt(0.75)) / 2).
         rho = bloch_to_density([0.3, 0.4, 0.2])
         expected = binary_entropy((1.0 + math.sqrt(0.75)) / 2.0)
-        assert r_qubit_analytic(rho).value == pytest.approx(expected, abs=1e-14)
+        assert r_qubit_analytic(rho) == pytest.approx(expected, abs=1e-14)
         assert expected == pytest.approx(0.35457890266527003, abs=1e-12)
 
     def test_reduces_to_pure_formula_on_projectors(self):
         for i in range(50):
             psi = haar_random_pure(2, 300 + i)
-            assert r_qubit_analytic(psi.projector()).value == pytest.approx(
-                r_pure(psi).value, abs=1e-9
+            assert r_qubit_analytic(psi.projector()) == pytest.approx(
+                r_pure(psi), abs=1e-9
             )
 
     def test_maximally_mixed_is_zero(self):
-        assert r_qubit_analytic(bloch_to_density([0, 0, 0])).value == 0.0
+        assert r_qubit_analytic(bloch_to_density([0, 0, 0])) == 0.0
 
     def test_maximally_coherent_is_one(self):
         rho = maximally_coherent_state(2).projector()
-        assert r_qubit_analytic(rho).value == pytest.approx(1.0, abs=1e-12)
+        assert r_qubit_analytic(rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_non_qubit(self):
         with pytest.raises(DimensionNot2):
@@ -154,10 +154,10 @@ class TestOrderingRelations:
         # On qubits the l1 measure dominates the relative-entropy measure.
         for i in range(50):
             rho = random_density(2, 2, seed=400 + i)
-            assert c_rel_ent(rho).value <= c_l1(rho).value + 1e-10
+            assert c_rel_ent(rho) <= c_l1(rho) + 1e-10
 
     def test_analytic_randomness_at_least_rel_ent(self):
         # The convex-roof randomness dominates the relative-entropy measure.
         for i in range(50):
             rho = random_density(2, 1 + i % 2, seed=500 + i)
-            assert r_qubit_analytic(rho).value >= c_rel_ent(rho).value - 1e-9
+            assert r_qubit_analytic(rho) >= c_rel_ent(rho) - 1e-9

@@ -1,5 +1,5 @@
 """Convex-roof optimizer against the analytic qubit value and an
-independent brute-force oracle."""
+independent brute-force oracle, and the two-copy regularized estimate."""
 
 import math
 
@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from cohrand import (
-    Decomposition,
     RoofConfig,
     brute_force_roof_qubit,
     c_rel_ent,
@@ -15,12 +14,14 @@ from cohrand import (
     haar_random_pure,
     maximally_coherent_state,
     optimize_roof,
+    pure_state,
     r_pure,
     r_qubit_analytic,
     random_density,
+    regularized_roof_estimate,
     roof_objective,
 )
-from cohrand.errors import DimensionNot2, NotIsometry, RankMismatch
+from cohrand.errors import DimensionNot2, NotIsometry, RankMismatch, TooLarge
 from cohrand.states import DensityMatrix
 
 
@@ -29,7 +30,7 @@ class TestDecompositionFromIsometry:
         rho = random_density(3, 3, seed=1)
         decomp = decomposition_from_isometry(rho, np.eye(3, dtype=complex))
         assert len(decomp.elements) == 3
-        assert decomp.total_weight() == pytest.approx(1.0, abs=1e-12)
+        assert sum(p for p, _ in decomp.elements) == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(decomp.mixture() - rho.mat)) < 1e-10
 
     def test_larger_ensembles_still_mix_back(self):
@@ -56,7 +57,7 @@ class TestRoofObjective:
     def test_matches_weighted_pure_randomness(self):
         rho = random_density(2, 2, seed=5)
         decomp = decomposition_from_isometry(rho, np.eye(2, dtype=complex))
-        expected = sum(p * r_pure(psi).value for p, psi in decomp.elements)
+        expected = sum(p * r_pure(psi) for p, psi in decomp.elements)
         assert roof_objective(decomp) == pytest.approx(expected)
 
 
@@ -66,7 +67,7 @@ class TestOptimizeRoof:
         result = optimize_roof(psi.projector())
         assert result.converged
         assert result.restarts_used == 0
-        assert result.value == pytest.approx(r_pure(psi).value, abs=1e-10)
+        assert result.value == pytest.approx(r_pure(psi), abs=1e-10)
 
     def test_incoherent_state_is_zero(self):
         rho = DensityMatrix(np.diag([0.2, 0.3, 0.5]).astype(complex))
@@ -78,7 +79,7 @@ class TestOptimizeRoof:
             rho = random_density(2, 2, seed=10 + i)
             result = optimize_roof(rho, RoofConfig(seed=i))
             assert result.value == pytest.approx(
-                r_qubit_analytic(rho).value, abs=1e-6
+                r_qubit_analytic(rho), abs=1e-6
             ), f"seed {10 + i}"
 
     def test_frozen_qubit_value(self):
@@ -114,7 +115,7 @@ class TestOptimizeRoof:
         rho = DensityMatrix(np.kron(a.mat, b.mat))
         result = optimize_roof(rho, RoofConfig(restarts=4))
         assert result.converged
-        exact = r_qubit_analytic(a).value + r_qubit_analytic(b).value
+        exact = r_qubit_analytic(a) + r_qubit_analytic(b)
         assert result.value == pytest.approx(exact, abs=1e-6)
 
     def test_dominates_rel_ent_in_dimension_three(self):
@@ -127,7 +128,7 @@ class TestOptimizeRoof:
             eigen_avg = roof_objective(
                 decomposition_from_isometry(rho, np.eye(3, dtype=complex))
             )
-            assert c_rel_ent(rho).value - 1e-6 <= result.value <= eigen_avg + 1e-9
+            assert c_rel_ent(rho) - 1e-6 <= result.value <= eigen_avg + 1e-9
 
 
 class TestBruteForceOracle:
@@ -135,13 +136,13 @@ class TestBruteForceOracle:
         for i in range(5):
             rho = random_density(2, 2, seed=40 + i)
             assert brute_force_roof_qubit(rho, 96) == pytest.approx(
-                r_qubit_analytic(rho).value, abs=1e-3
+                r_qubit_analytic(rho), abs=1e-3
             )
 
     def test_pure_state_short_circuit(self):
         psi = haar_random_pure(2, 41)
         assert brute_force_roof_qubit(psi.projector(), 8) == pytest.approx(
-            r_pure(psi).value, abs=1e-10
+            r_pure(psi), abs=1e-10
         )
 
     def test_rejects_non_qubit(self):
@@ -151,7 +152,7 @@ class TestBruteForceOracle:
     def test_upper_bounds_analytic(self):
         # A grid minimum can only overshoot the true minimum.
         rho = random_density(2, 2, seed=43)
-        assert brute_force_roof_qubit(rho, 64) >= r_qubit_analytic(rho).value - 1e-9
+        assert brute_force_roof_qubit(rho, 64) >= r_qubit_analytic(rho) - 1e-9
 
 
 class TestMaximallyCoherent:
@@ -159,3 +160,25 @@ class TestMaximallyCoherent:
         for d in (2, 3, 4):
             rho = maximally_coherent_state(d).projector()
             assert optimize_roof(rho).value == pytest.approx(math.log2(d), abs=1e-9)
+
+
+class TestRegularizedRoof:
+    def test_pure_state_additivity(self):
+        psi = pure_state([math.sqrt(0.7), math.sqrt(0.3)])
+        per_copy = regularized_roof_estimate(psi.projector(), 2, RoofConfig(restarts=4))
+        assert per_copy == pytest.approx(r_pure(psi), abs=1e-6)
+
+    def test_two_copy_estimate_equals_single(self):
+        # The roof is additive (Winter & Yang, PRL 116, 120404 (2016)), so
+        # the two-copy per-copy value equals the single-copy value, not
+        # merely stays below it.
+        rho = random_density(2, 2, seed=2)
+        two = regularized_roof_estimate(rho, 2, RoofConfig(restarts=4, seed=2))
+        assert abs(two - r_qubit_analytic(rho)) <= 1e-6
+
+    def test_copies_limited(self):
+        rho = random_density(2, 2, seed=3)
+        with pytest.raises(ValueError):
+            regularized_roof_estimate(rho, 3)
+        with pytest.raises(TooLarge):
+            regularized_roof_estimate(random_density(5, 2, seed=4), 2)
