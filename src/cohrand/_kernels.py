@@ -1,13 +1,14 @@
 """Hot numeric kernels, one numpy implementation each.
 
-* :func:`roof_descent` -- one restart of the convex-roof descent, with the
-  closed-form gradient of the objective (Röthlisberger, Lehmann & Loss,
-  PRA 80, 042301 (2009));
+* :func:`roof_descent` -- the convex-roof descent, all restarts in one
+  batched descent, with the closed-form gradient of the objective
+  (Röthlisberger, Lehmann & Loss, PRA 80, 042301 (2009));
 * :func:`qubit_grid_min` -- the brute-force qubit roof oracle;
 * :func:`toeplitz_gf2` -- the Toeplitz GF(2) hash, as an FFT product.
 
 tests/test_kernels.py checks them against central differences, the naive
-Toeplitz product and the analytic qubit roof.
+Toeplitz product and the analytic qubit roof, and checks that a batched
+descent returns what its restarts return one by one.
 """
 
 from __future__ import annotations
@@ -24,18 +25,20 @@ LN2 = math.log(2.0)
 # --------------------------------------------------------------------------
 
 
-def _row_contribs_batch(rows):
-    """Contribution of each unnormalized ensemble row (batch, dim) to the
-    roof objective, in nats: -sum q ln q + p ln p with q = |row|^2 and p
+def _objective(psi):
+    """Roof objective of each ensemble of unnormalized rows psi (..., m, d),
+    in nats: sum over rows of -sum q ln q + p ln p, with q = |row|^2 and p
     the row norm squared (0 ln 0 = 0)."""
-    q = rows.real * rows.real + rows.imag * rows.imag
-    p = q.sum(axis=1)
+    q = psi.real * psi.real + psi.imag * psi.imag
+    p = q.sum(axis=-1)
     q_ln_q = q * np.log(q, where=q > 1e-300, out=np.zeros_like(q))
-    return p * np.log(p, where=p > 1e-300, out=np.zeros_like(p)) - q_ln_q.sum(axis=1)
+    rows = p * np.log(p, where=p > 1e-300, out=np.zeros_like(p)) - q_ln_q.sum(axis=-1)
+    return rows.sum(axis=-1)
 
 
 def _roof_gradient(psi):
-    """Gradient of the objective as an anti-Hermitian generator A.
+    """Gradient of the objective as anti-Hermitian generators A, one per
+    ensemble of the stack psi (..., m, d).
 
     The objective has d/dq_ei = ln(p_e / q_ei) =: D_ei (0 where q_ei
     vanishes, its limit there). With M = psi (D o psi)^dag, A = 2 (M - M^dag)
@@ -45,68 +48,83 @@ def _roof_gradient(psi):
     change row phases and never move the objective.
     """
     q = psi.real * psi.real + psi.imag * psi.imag
-    p = q.sum(axis=1, keepdims=True)
+    p = q.sum(axis=-1, keepdims=True)
     D = np.log(p / np.maximum(q, 1e-300), where=q > 1e-300, out=np.zeros_like(q))
-    M = psi @ (D * psi).conj().T
-    A = 2.0 * (M - M.conj().T)
-    np.fill_diagonal(A, 0.0)
+    M = psi @ (D * psi).conj().swapaxes(-1, -2)
+    A = 2.0 * (M - M.conj().swapaxes(-1, -2))
+    diag = np.arange(A.shape[-1])
+    A[..., diag, diag] = 0.0
     return A
 
 
 def roof_descent(BT, W0, max_iter, tol_nats):
-    """Single-restart local descent on the isometry manifold.
+    """Local descent on the isometry manifold from every restart at once.
 
-    The ensemble is psi = W @ BT (rows are unnormalized pure states).
-    Steps move along geodesics exp(t A) with A the closed-form gradient
-    generator of :func:`_roof_gradient`; an Armijo backtracking line
-    search picks t.
+    W0 stacks R starting isometries (R, m, r); restart i's ensemble is
+    psi_i = W_i @ BT (rows are unnormalized pure states). Steps move along
+    geodesics exp(t A) with A the closed-form gradient generator of
+    :func:`_roof_gradient`; an Armijo backtracking line search picks t.
+    Each restart keeps its own step, line search, stall count and stop
+    rule, and leaves the active set when it stops, so it follows the same
+    path it would follow alone.
 
-    Returns (objective in bits, final W, converged flag).
+    Returns (objective in bits, final W, converged flag) of the best
+    restart: the lowest value, then the lowest index.
     """
     W = W0.copy()
     psi = W @ BT
-    f = float(_row_contribs_batch(psi).sum())
-    prev_t = 1.0
-    converged = False
-    stall = 0
+    f = _objective(psi)
+    n = len(W)
+    idx = np.arange(n)  # W0 index of each active restart
+    prev_t = np.ones(n)
+    stall = np.zeros(n, dtype=int)
+    f_out = np.empty(n)
+    W_out = np.empty_like(W)
+    converged = np.zeros(n, dtype=bool)
     for _ in range(max_iter):
+        if not len(idx):
+            break
         A = _roof_gradient(psi)
         # Squared norm of the (g_r, g_i) coordinates over the pairs j < l.
-        gnorm2 = 0.5 * float(np.vdot(A, A).real)
-        if gnorm2 < 1e-22:
-            converged = True
-            break
+        gnorm2 = 0.5 * np.einsum("...ij,...ij->...", A.conj(), A).real
+        stop = gnorm2 < 1e-22
         w, U = np.linalg.eigh(1j * A)
-        Uh = U.conj().T
+        Uh = U.conj().swapaxes(-1, -2)
         t = prev_t * 2.0
-        accepted = False
+        # Every trial steps every active restart; one that has passed its
+        # Armijo test keeps its t, so its last trial repeats its accepted
+        # step exactly.
+        searching = ~stop
         for _ls in range(60):
-            E = (U * np.exp(-1j * t * w)) @ Uh
+            E = (U * np.exp(-1j * t[:, None] * w)[:, None, :]) @ Uh
             psit = E @ psi
-            ft = float(_row_contribs_batch(psit).sum())
-            if ft < f - 1e-4 * t * gnorm2:
-                accepted = True
+            ft = _objective(psit)
+            searching &= ~(ft < f - 1e-4 * t * gnorm2)
+            if not searching.any():
                 break
-            t *= 0.5
-        if not accepted:
-            converged = True
-            break
+            t[searching] *= 0.5
+        # A restart still searching after 60 halvings stops, counted as
+        # converged, as does one with a vanishing gradient.
+        moved = ~(stop | searching)
         dec = f - ft
-        W = E @ W
-        psi = psit
-        f = ft
+        f = np.where(moved, ft, f)
+        psi = np.where(moved[:, None, None], psit, psi)
+        W = np.where(moved[:, None, None], E @ W, W)
         prev_t = t
         # Linear convergence means the remaining gap is a multiple of the
         # per-iteration decrease; demand decreases well below the target
         # tolerance before declaring convergence.
-        if dec < 0.01 * tol_nats:
-            stall += 1
-            if stall >= 3:
-                converged = True
-                break
-        else:
-            stall = 0
-    return f / LN2, W, converged
+        stall = np.where(dec < 0.01 * tol_nats, stall + 1, 0)
+        stop = ~moved | (stall >= 3)
+        if stop.any():
+            done = idx[stop]
+            f_out[done], W_out[done], converged[done] = f[stop], W[stop], True
+            keep = ~stop
+            idx, W, psi, f, prev_t, stall = (a[keep] for a in (idx, W, psi, f, prev_t, stall))
+    f_out[idx], W_out[idx] = f, W
+    values = f_out / LN2
+    best = int(np.argmin(values))
+    return float(values[best]), W_out[best], bool(converged[best])
 
 
 # --------------------------------------------------------------------------

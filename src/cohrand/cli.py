@@ -46,6 +46,20 @@ def _unit_interval(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return value
+
+
 def _as_density(state) -> DensityMatrix:
     return state.projector() if isinstance(state, PureState) else state
 
@@ -195,10 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
     roof = RoofConfig()
     p = sub.add_parser("roof", help="optimize the convex-roof randomness measure")
     p.add_argument("state")
-    p.add_argument("--ensemble-size", type=int, default=roof.ensemble_size)
-    p.add_argument("--restarts", type=int, default=roof.restarts)
-    p.add_argument("--tolerance", type=float, default=roof.tolerance)
-    p.add_argument("--max-iterations", type=int, default=roof.max_iterations)
+    p.add_argument("--ensemble-size", type=_positive_int, default=roof.ensemble_size)
+    p.add_argument("--restarts", type=_positive_int, default=roof.restarts)
+    p.add_argument("--tolerance", type=_positive_float, default=roof.tolerance)
+    p.add_argument("--max-iterations", type=_positive_int, default=roof.max_iterations)
     p.add_argument("--seed", type=int, default=roof.seed)
     p.set_defaults(func=_cmd_roof)
 

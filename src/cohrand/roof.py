@@ -99,11 +99,14 @@ def roof_objective(decomp: Decomposition) -> float:
 def optimize_roof(rho: DensityMatrix, config: RoofConfig = RoofConfig()) -> RoofResult:
     """Minimize the roof objective over size-m decompositions.
 
-    Multi-start descent; restarts use seeds derived deterministically from
-    the master seed and are merged by lowest value, then lowest restart
-    index. The returned value is an upper estimate of the true roof (the
-    descent approaches it from above).
+    Multi-start descent: every restart starts from an isometry drawn with a
+    seed derived deterministically from the master seed, all restarts
+    descend in one batched kernel call, and the best is taken by lowest
+    value, then lowest restart index. The returned value is an upper
+    estimate of the true roof (the descent approaches it from above).
     """
+    if config.restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {config.restarts}")
     lam, vec = _support_eigendecomposition(rho)
     r = lam.shape[0]
     bt = np.ascontiguousarray((vec * np.sqrt(lam)).T)
@@ -114,18 +117,12 @@ def optimize_roof(rho: DensityMatrix, config: RoofConfig = RoofConfig()) -> Roof
     if m < r:
         raise ValueError(f"ensemble size {m} < support rank {r}")
     tol_nats = config.tolerance * _kernels.LN2
-    children = np.random.SeedSequence(config.seed).spawn(config.restarts)
-    best = None
-    for i in range(config.restarts):
-        rng = np.random.default_rng(children[i])
+    w0 = np.empty((config.restarts, m, r), dtype=complex)
+    for i, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.restarts)):
+        rng = np.random.default_rng(child)
         g = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
-        w0, _ = np.linalg.qr(g)
-        value, w_final, converged = _kernels.roof_descent(
-            bt, np.ascontiguousarray(w0), config.max_iterations, tol_nats
-        )
-        if best is None or value < best[0]:
-            best = (value, w_final, converged)
-    _, w_best, converged = best
+        w0[i], _ = np.linalg.qr(g)
+    _, w_best, converged = _kernels.roof_descent(bt, w0, config.max_iterations, tol_nats)
     decomp = decomposition_from_isometry(rho, w_best)
     return RoofResult(roof_objective(decomp), decomp, converged, config.restarts)
 

@@ -40,7 +40,11 @@ def _complex_array(pairs, what: str) -> np.ndarray:
 def _dim(data: dict) -> int:
     if "dim" not in data:
         raise ValueError("entries and amplitudes need a dim")
-    return int(data["dim"])
+    dim = data["dim"]
+    # Exact type checks: JSON true and false load as bool, a subclass of int.
+    if type(dim) is not int or dim < 1:
+        raise ValueError(f"dim must be an integer of at least 1, got {dim!r}")
+    return dim
 
 
 def load_state(path, tol: float = DEFAULT_TOL) -> Union[DensityMatrix, PureState]:
@@ -49,8 +53,8 @@ def load_state(path, tol: float = DEFAULT_TOL) -> Union[DensityMatrix, PureState
         raise ValueError(f"a state file holds a JSON object, got {type(data).__name__}")
     if "bloch" in data:
         n = data["bloch"]
-        if not isinstance(n, list) or len(n) != 3:
-            raise ValueError("bloch must be a list of three components")
+        if not isinstance(n, list) or len(n) != 3 or any(type(c) not in (int, float) for c in n):
+            raise ValueError("bloch must be a list of three real numbers")
         return bloch_to_density(n)
     if "amplitudes" in data:
         dim = _dim(data)

@@ -21,12 +21,29 @@ from cohrand.stateio import load_state, load_stream, save_state, save_stream
 
 
 # Malformed state files that once escaped load_state as a TypeError or a
-# KeyError instead of a ValueError.
+# KeyError, or (a non-integer or boolean dim) were read as another
+# dimension, instead of raising a ValueError.
 MALFORMED = {
     "not_an_object": "7",
     "missing_dim": '{"amplitudes": [[1, 0], [0, 0]]}',
     "bloch_not_a_list": '{"bloch": 5}',
+    "null_dim": '{"dim": null, "amplitudes": [[1, 0], [0, 0]]}',
+    "bloch_component_not_a_number": '{"bloch": [[1], 0, 0]}',
+    "fractional_dim": '{"dim": 2.5, "amplitudes": [[1, 0], [0, 0]]}',
+    "boolean_dim": '{"dim": true, "amplitudes": [[1, 0], [0, 0]]}',
 }
+
+# Roof arguments out of range: argparse rejects each with exit code 2.
+ROOF_ARGS_OUT_OF_RANGE = (
+    ("--restarts", "0"),
+    ("--restarts", "-2"),
+    ("--max-iterations", "0"),
+    ("--ensemble-size", "0"),
+    ("--tolerance", "0"),
+    ("--tolerance", "-1e-8"),
+    ("--tolerance", "nan"),
+    ("--tolerance", "inf"),
+)
 
 
 @pytest.fixture
@@ -174,6 +191,20 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert 0.0 <= out["value"] <= 1.0
         assert out["decomposition"]
+
+    @pytest.mark.parametrize("flag,value", ROOF_ARGS_OUT_OF_RANGE)
+    def test_roof_argument_out_of_range(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["roof", "x.json", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_file_is_a_structured_error(self, case, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(MALFORMED[case])
+        assert main(["measures", str(path)]) == 3
+        assert cli_error(capsys)["error"] == "ValueError"
 
     def test_verify_passes(self, capsys):
         assert main(["verify", "--samples", "25", "--max-dim", "3"]) == 0

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from cohrand import _kernels, r_qubit_analytic, random_density
+from cohrand import DensityMatrix, _kernels, r_qubit_analytic, random_density
 from cohrand.roof import _support_eigendecomposition
 
 
@@ -26,33 +26,32 @@ def random_ensemble(d, seed):
 class TestRoofGradient:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_matches_central_differences(self, d):
-        bt, w0 = random_ensemble(d, seed=d)
-        psi = w0 @ bt
+        # A stack of three ensembles: each slice's generator must match
+        # central differences of that slice's objective.
+        psi = np.stack([w0 @ bt for bt, w0 in (random_ensemble(d, seed=d + k) for k in range(3))])
         A = _kernels._roof_gradient(psi)
-        assert np.max(np.abs(A + A.conj().T)) < 1e-14
-
-        def objective(rows):
-            return float(_kernels._row_contribs_batch(rows).sum())
+        assert np.max(np.abs(A + A.conj().swapaxes(-1, -2))) < 1e-14
 
         h = 1e-6
         worst = 0.0
-        m = psi.shape[0]
-        for j in range(m):
-            for l in range(j + 1, m):
-                # Generator coordinates (g_r, g_i) of the pair j < l: mix
-                # the two rows by a real rotation and by an imaginary one.
-                for step, expected in (
-                    (h, A[l, j].real),
-                    (1j * h, -A[l, j].imag),
-                ):
-                    plus = psi.copy()
-                    plus[j] += step * psi[l]
-                    plus[l] -= np.conj(step) * psi[j]
-                    minus = psi.copy()
-                    minus[j] -= step * psi[l]
-                    minus[l] += np.conj(step) * psi[j]
-                    fd = (objective(plus) - objective(minus)) / (2.0 * h)
-                    worst = max(worst, abs(fd - expected))
+        m = psi.shape[1]
+        for psi_k, A_k in zip(psi, A):
+            for j in range(m):
+                for l in range(j + 1, m):
+                    # Generator coordinates (g_r, g_i) of the pair j < l: mix
+                    # the two rows by a real rotation and by an imaginary one.
+                    for step, expected in (
+                        (h, A_k[l, j].real),
+                        (1j * h, -A_k[l, j].imag),
+                    ):
+                        plus = psi_k.copy()
+                        plus[j] += step * psi_k[l]
+                        plus[l] -= np.conj(step) * psi_k[j]
+                        minus = psi_k.copy()
+                        minus[j] -= step * psi_k[l]
+                        minus[l] += np.conj(step) * psi_k[j]
+                        fd = (_kernels._objective(plus) - _kernels._objective(minus)) / (2.0 * h)
+                        worst = max(worst, abs(fd - expected))
         assert worst < 1e-8
 
     def test_vanishes_on_zero_amplitudes(self):
@@ -62,15 +61,85 @@ class TestRoofGradient:
         assert np.max(np.abs(_kernels._roof_gradient(psi))) == 0.0
 
 
+TOL_NATS = 1e-8 * math.log(2.0)
+
+
+def assert_batch_matches_single_restarts(bt, w0, max_iter):
+    """Descending a stack must give, bit for bit, the best (lowest value,
+    then lowest index) of descending each restart alone, for the whole
+    stack and for every stack that leaves one restart out. Returns the
+    single-restart results."""
+    singles = [_kernels.roof_descent(bt, w0[i : i + 1], max_iter, TOL_NATS) for i in range(len(w0))]
+    subsets = [list(range(len(w0)))]
+    subsets += [[i for i in range(len(w0)) if i != out] for out in range(len(w0))]
+    for subset in subsets:
+        value, w, converged = _kernels.roof_descent(bt, w0[subset], max_iter, TOL_NATS)
+        best_value, best_w, best_converged = min((singles[i] for i in subset), key=lambda s: s[0])
+        assert value == best_value
+        assert np.array_equal(w, best_w)
+        assert converged == best_converged
+    return singles
+
+
 class TestRoofDescent:
     @pytest.mark.parametrize("seed", [0, 5, 9])
     def test_reaches_analytic_qubit_value(self, seed):
         rho = random_density(2, 2, seed)
         bt, w0 = random_ensemble(2, seed)
-        value, w, converged = _kernels.roof_descent(bt, w0, 2000, 1e-8 * math.log(2.0))
+        value, w, converged = _kernels.roof_descent(bt, w0[None], 2000, 1e-8 * math.log(2.0))
         assert converged
         assert value == pytest.approx(r_qubit_analytic(rho), abs=1e-6)
         assert np.max(np.abs(w.conj().T @ w - np.eye(2))) < 1e-10
+
+    @staticmethod
+    def random_stack(d, n, seed):
+        g = np.random.default_rng(seed)
+        shape = (n, d * d, d)
+        w0, _ = np.linalg.qr(g.standard_normal(shape) + 1j * g.standard_normal(shape))
+        return w0
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_restarts_stay_independent_with_a_stationary_start(self, d):
+        # On an incoherent state the incoherent ensemble (the support rows
+        # themselves, padded with zero rows) is stationary: it stops at
+        # iteration 0 while the random restarts around it keep descending.
+        lam = np.arange(1, d + 1) / (d * (d + 1) / 2)
+        bt = support_rows(DensityMatrix(np.diag(lam).astype(complex)))
+        w0 = self.random_stack(d, 4, seed=d)
+        w0[2] = np.eye(d * d, d)
+        singles = assert_batch_matches_single_restarts(bt, w0, 300)
+        value, w, converged = singles[2]
+        assert value == 0.0 and converged
+        assert np.array_equal(w, w0[2])
+
+    def test_failed_line_search_stops_without_a_step(self):
+        # On an incoherent qubit state a random restart descends to the
+        # value 0.0 exactly, where no trial step passes the Armijo test:
+        # the line search fails and the restart stops where it stands. So
+        # a budget one iteration short of that stop returns the same W,
+        # unconverged.
+        bt = support_rows(DensityMatrix(np.diag([0.25, 0.75]).astype(complex)))
+        w0 = self.random_stack(2, 1, seed=2)
+        lo, hi = 0, 300  # the restart stops within hi iterations, not lo
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if _kernels.roof_descent(bt, w0, mid, TOL_NATS)[2] else (mid, hi)
+        value, w, converged = _kernels.roof_descent(bt, w0, hi, TOL_NATS)
+        short_value, short_w, short_converged = _kernels.roof_descent(bt, w0, lo, TOL_NATS)
+        assert converged and not short_converged
+        assert value == short_value == 0.0
+        assert np.array_equal(w, short_w)
+
+    @pytest.mark.parametrize("d,seed,max_iter", [(2, 41, 55), (3, 40, 100)])
+    def test_restarts_stay_independent_on_max_iter(self, d, seed, max_iter):
+        # A budget between the restarts' own iteration counts (44-64 at
+        # d = 2, 73-125 at d = 3): some stop on max_iter, unconverged,
+        # while the others converge.
+        bt = support_rows(random_density(d, d, seed=seed))
+        w0 = self.random_stack(d, 5, seed=seed + 10)
+        singles = assert_batch_matches_single_restarts(bt, w0, max_iter)
+        flags = [converged for _, _, converged in singles]
+        assert any(flags) and not all(flags)
 
 
 class TestQubitGrid:

@@ -106,6 +106,12 @@ class TestOptimizeRoof:
         with pytest.raises(ValueError):
             optimize_roof(rho, RoofConfig(ensemble_size=2))
 
+    def test_no_restarts_rejected(self):
+        # The batched descent needs at least one restart to stack.
+        for restarts in (0, -2):
+            with pytest.raises(ValueError):
+                optimize_roof(random_density(2, 2, 1), RoofConfig(restarts=restarts))
+
     @pytest.mark.parametrize("seeds", [(12, 13), (14, 15)])
     def test_exact_value_of_two_qubit_product(self, seeds):
         # The roof is additive (Winter & Yang, PRL 116, 120404 (2016)), so
