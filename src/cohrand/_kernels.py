@@ -2,13 +2,16 @@
 
 * :func:`roof_descent` -- the convex-roof descent, all restarts in one
   batched descent, with the closed-form gradient of the objective
-  (Röthlisberger, Lehmann & Loss, PRA 80, 042301 (2009));
+  (Röthlisberger, Lehmann & Loss, PRA 80, 042301 (2009)) and
+  Fletcher-Reeves conjugate directions on the unitary group, which fall
+  back to the gradient when they do not descend and every 2m iterations;
 * :func:`qubit_grid_min` -- the brute-force qubit roof oracle;
 * :func:`toeplitz_gf2` -- the Toeplitz GF(2) hash, as an FFT product.
 
 tests/test_kernels.py checks them against central differences, the naive
-Toeplitz product and the analytic qubit roof, and checks that a batched
-descent returns what its restarts return one by one.
+Toeplitz product and the analytic qubit roof, checks that a batched
+descent returns what its restarts return one by one, and checks the
+direction's fallback and resets.
 """
 
 from __future__ import annotations
@@ -57,16 +60,35 @@ def _roof_gradient(psi):
     return A
 
 
+def _conjugate_direction(A, gnorm2, H, prev_gnorm2):
+    """Fletcher-Reeves direction A + beta H, beta = gnorm2 / prev_gnorm2,
+    for each ensemble of the stack, and its slope 1/2 Re tr(A^dag H): minus
+    the derivative of the objective along exp(t H) at t = 0. Where the
+    slope is not positive the direction does not descend, and it falls
+    back to the gradient generator A, whose slope is gnorm2."""
+    H = A + (gnorm2 / prev_gnorm2)[:, None, None] * H
+    slope = 0.5 * np.einsum("...ij,...ij->...", A.conj(), H).real
+    reset = slope <= 0.0
+    H[reset], slope[reset] = A[reset], gnorm2[reset]
+    return H, slope
+
+
 def roof_descent(BT, W0, max_iter, tol_nats):
     """Local descent on the isometry manifold from every restart at once.
 
     W0 stacks R starting isometries (R, m, r); restart i's ensemble is
     psi_i = W_i @ BT (rows are unnormalized pure states). Steps move along
-    geodesics exp(t A) with A the closed-form gradient generator of
-    :func:`_roof_gradient`; an Armijo backtracking line search picks t.
-    Each restart keeps its own step, line search, stall count and stop
-    rule, and leaves the active set when it stops, so it follows the same
-    path it would follow alone.
+    geodesics W <- exp(t H) W. H is a conjugate direction in u(m) built
+    from the closed-form gradient generator A of :func:`_roof_gradient`,
+    H_k = A_k + beta_k H_(k-1) with the Fletcher-Reeves
+    beta_k = |A_k|^2 / |A_(k-1)|^2 (Abrudan, Eriksson & Koivunen, Signal
+    Processing 89, 1704 (2009)). H acts on the left, so the previous
+    direction carries over to the new point as it is. H falls back to A
+    when it is not a descent direction (1/2 Re tr(A^dag H) <= 0) and every
+    2m iterations. An Armijo backtracking line search picks t. Each
+    restart keeps its own direction, step, line search, stall count and
+    stop rule, and leaves the active set when it stops, so it follows the
+    same path it would follow alone.
 
     Returns (objective in bits, final W, converged flag) of the best
     restart: the lowest value, then the lowest index.
@@ -74,21 +96,26 @@ def roof_descent(BT, W0, max_iter, tol_nats):
     W = W0.copy()
     psi = W @ BT
     f = _objective(psi)
-    n = len(W)
+    n, m = W.shape[:2]
     idx = np.arange(n)  # W0 index of each active restart
     prev_t = np.ones(n)
     stall = np.zeros(n, dtype=int)
+    H, prev_g2 = None, np.ones(n)  # H is zeroed at iteration 0, a reset
     f_out = np.empty(n)
     W_out = np.empty_like(W)
     converged = np.zeros(n, dtype=bool)
-    for _ in range(max_iter):
+    for it in range(max_iter):
         if not len(idx):
             break
         A = _roof_gradient(psi)
         # Squared norm of the (g_r, g_i) coordinates over the pairs j < l.
         gnorm2 = 0.5 * np.einsum("...ij,...ij->...", A.conj(), A).real
+        if it % (2 * m) == 0:
+            H = np.zeros_like(A)
+        H, slope = _conjugate_direction(A, gnorm2, H, prev_g2)
+        prev_g2 = gnorm2
         stop = gnorm2 < 1e-22
-        w, U = np.linalg.eigh(1j * A)
+        w, U = np.linalg.eigh(1j * H)
         Uh = U.conj().swapaxes(-1, -2)
         t = prev_t * 2.0
         # Every trial steps every active restart; one that has passed its
@@ -99,7 +126,7 @@ def roof_descent(BT, W0, max_iter, tol_nats):
             E = (U * np.exp(-1j * t[:, None] * w)[:, None, :]) @ Uh
             psit = E @ psi
             ft = _objective(psit)
-            searching &= ~(ft < f - 1e-4 * t * gnorm2)
+            searching &= ~(ft < f - 1e-4 * t * slope)
             if not searching.any():
                 break
             t[searching] *= 0.5
@@ -120,7 +147,9 @@ def roof_descent(BT, W0, max_iter, tol_nats):
             done = idx[stop]
             f_out[done], W_out[done], converged[done] = f[stop], W[stop], True
             keep = ~stop
-            idx, W, psi, f, prev_t, stall = (a[keep] for a in (idx, W, psi, f, prev_t, stall))
+            idx, W, psi, f, prev_t, stall, H, prev_g2 = (
+                a[keep] for a in (idx, W, psi, f, prev_t, stall, H, prev_g2)
+            )
     f_out[idx], W_out[idx] = f, W
     values = f_out / LN2
     best = int(np.argmin(values))

@@ -46,17 +46,31 @@ def _unit_interval(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return value
+def _int_at_least(lowest: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {text}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _positive_float(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
     return value
 
 
@@ -217,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_roof)
 
     p = sub.add_parser("verify", help="run the coherence-measure property suite")
-    p.add_argument("--max-dim", type=int, default=6)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--max-dim", type=_int_at_least(2), default=6)
+    p.add_argument("--samples", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--measures",
@@ -230,25 +244,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distill", help="simulate the coherence distillation protocol")
     p.add_argument("--alpha-sq", type=_unit_interval, required=True)
-    p.add_argument("--n", type=int, required=True, help="copies per group")
-    p.add_argument("--m", type=int, default=1, help="number of groups")
+    p.add_argument("--n", type=_positive_int, required=True, help="copies per group")
+    p.add_argument("--m", type=_positive_int, default=1, help="number of groups")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exact", action="store_true", help="state-vector mode (n <= 20)")
     p.set_defaults(func=_cmd_distill)
 
     p = sub.add_parser("sample", help="sample measurement outcomes of a pure state")
     p.add_argument("state")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("pipeline", help="compare extract-after-measure with distill-then-measure")
     p.add_argument("state")
-    p.add_argument("--groups", type=int, default=200)
-    p.add_argument("--group-n", type=int, default=50)
+    p.add_argument("--groups", type=_positive_int, default=200)
+    p.add_argument("--group-n", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--margin", type=float, default=DEFAULT_RATE_MARGIN)
+    p.add_argument("--margin", type=_nonnegative_float, default=DEFAULT_RATE_MARGIN)
     p.add_argument("--entropy", choices=["shannon", "min"], default="shannon")
     p.set_defaults(func=_cmd_pipeline)
 

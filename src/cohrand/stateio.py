@@ -99,6 +99,9 @@ def load_stream(path) -> OutcomeStream:
     if not lines or not lines[0].startswith("#"):
         raise ValueError("stream file must start with a '# dim=... seed=...' header")
     header = dict(part.split("=") for part in lines[0].lstrip("# ").split())
+    missing = sorted({"dim", "seed"} - header.keys())
+    if missing:
+        raise ValueError(f"stream header lacks {' and '.join(missing)}")
     dim = int(header["dim"])
     seed = int(header["seed"])
     symbols = np.array([int(s) for s in lines[1:] if s.strip()], dtype=np.int64)

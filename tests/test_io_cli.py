@@ -45,6 +45,21 @@ ROOF_ARGS_OUT_OF_RANGE = (
     ("--tolerance", "inf"),
 )
 
+# Counts, dimensions and the pipeline margin out of range, each after the
+# rest of its command line: argparse rejects each with exit code 2.
+ARGS_OUT_OF_RANGE = (
+    (["verify"], "--samples", "0"),
+    (["verify"], "--max-dim", "1"),
+    (["distill", "--alpha-sq", "0.5", "--exact"], "--n", "-5"),
+    (["distill", "--alpha-sq", "0.5", "--n", "5"], "--m", "0"),
+    (["sample", "x.json"], "--n", "0"),
+    (["pipeline", "x.json"], "--groups", "0"),
+    (["pipeline", "x.json"], "--group-n", "-1"),
+    (["pipeline", "x.json"], "--margin", "-0.1"),
+    (["pipeline", "x.json"], "--margin", "nan"),
+    (["pipeline", "x.json"], "--margin", "inf"),
+)
+
 
 @pytest.fixture
 def plus_file(tmp_path):
@@ -137,6 +152,14 @@ class TestStreamFiles:
         with pytest.raises(ValueError):
             load_stream(path)
 
+    @pytest.mark.parametrize("header", ["# dim=2", "# seed=3", "#"])
+    def test_header_fields_required(self, header, tmp_path):
+        # A header without dim or seed once escaped as a KeyError.
+        path = tmp_path / "bad.txt"
+        path.write_text(header + "\n0\n1\n")
+        with pytest.raises(ValueError):
+            load_stream(path)
+
     def test_out_of_range_symbols(self, tmp_path):
         path = tmp_path / "oob.txt"
         path.write_text("# dim=2 seed=0\n0\n5\n")
@@ -198,6 +221,24 @@ class TestCli:
             main(["roof", "x.json", flag, value])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,flag,value",
+        ARGS_OUT_OF_RANGE,
+        ids=[f"{argv[0]}{flag}={value}" for argv, flag, value in ARGS_OUT_OF_RANGE],
+    )
+    def test_argument_out_of_range(self, argv, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_argument_range_boundaries_are_accepted(self):
+        parse = build_parser().parse_args
+        assert parse(["verify", "--samples", "1", "--max-dim", "2"]).max_dim == 2
+        assert parse(["distill", "--alpha-sq", "0.5", "--n", "1", "--m", "1"]).n == 1
+        args = parse(["pipeline", "x.json", "--groups", "1", "--group-n", "1", "--margin", "0"])
+        assert (args.groups, args.group_n, args.margin) == (1, 1, 0.0)
 
     @pytest.mark.parametrize("case", MALFORMED)
     def test_malformed_file_is_a_structured_error(self, case, tmp_path, capsys):

@@ -87,6 +87,9 @@ class TestRoofDescent:
         rho = random_density(2, 2, seed)
         bt, w0 = random_ensemble(2, seed)
         value, w, converged = _kernels.roof_descent(bt, w0[None], 2000, 1e-8 * math.log(2.0))
+        # perfbench/tracing.py unpacks this (float, ndarray, bool) triple.
+        assert type(value) is float and type(converged) is bool
+        assert isinstance(w, np.ndarray) and w.shape == w0.shape
         assert converged
         assert value == pytest.approx(r_qubit_analytic(rho), abs=1e-6)
         assert np.max(np.abs(w.conj().T @ w - np.eye(2))) < 1e-10
@@ -117,29 +120,74 @@ class TestRoofDescent:
         # value 0.0 exactly, where no trial step passes the Armijo test:
         # the line search fails and the restart stops where it stands. So
         # a budget one iteration short of that stop returns the same W,
-        # unconverged.
+        # unconverged. A zero tolerance switches the stall stop off, which
+        # would otherwise stop the conjugate-gradient descent first (at
+        # 5.5e-14), and the gradient there is above the 1e-22 stop.
         bt = support_rows(DensityMatrix(np.diag([0.25, 0.75]).astype(complex)))
         w0 = self.random_stack(2, 1, seed=2)
         lo, hi = 0, 300  # the restart stops within hi iterations, not lo
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if _kernels.roof_descent(bt, w0, mid, TOL_NATS)[2] else (mid, hi)
-        value, w, converged = _kernels.roof_descent(bt, w0, hi, TOL_NATS)
-        short_value, short_w, short_converged = _kernels.roof_descent(bt, w0, lo, TOL_NATS)
+            lo, hi = (lo, mid) if _kernels.roof_descent(bt, w0, mid, 0.0)[2] else (mid, hi)
+        value, w, converged = _kernels.roof_descent(bt, w0, hi, 0.0)
+        short_value, short_w, short_converged = _kernels.roof_descent(bt, w0, lo, 0.0)
         assert converged and not short_converged
         assert value == short_value == 0.0
         assert np.array_equal(w, short_w)
+        A = _kernels._roof_gradient(w @ bt)
+        assert 0.5 * np.sum(np.abs(A) ** 2) > 1e-22
 
-    @pytest.mark.parametrize("d,seed,max_iter", [(2, 41, 55), (3, 40, 100)])
+    @pytest.mark.parametrize("d,seed,max_iter", [(2, 41, 40), (3, 40, 75)])
     def test_restarts_stay_independent_on_max_iter(self, d, seed, max_iter):
-        # A budget between the restarts' own iteration counts (44-64 at
-        # d = 2, 73-125 at d = 3): some stop on max_iter, unconverged,
+        # A budget between the restarts' own iteration counts (31-47 at
+        # d = 2, 59-96 at d = 3): some stop on max_iter, unconverged,
         # while the others converge.
         bt = support_rows(random_density(d, d, seed=seed))
         w0 = self.random_stack(d, 5, seed=seed + 10)
         singles = assert_batch_matches_single_restarts(bt, w0, max_iter)
         flags = [converged for _, _, converged in singles]
         assert any(flags) and not all(flags)
+
+    def test_direction_carries_over_and_restarts_every_2m_iterations(self, monkeypatch):
+        # Each iteration extends the direction it took last, except every
+        # 2m iterations (m = 9 here), where it starts again from the
+        # gradient. Both restarts need more than 40 iterations, so none
+        # leaves the stack.
+        bt = support_rows(random_density(3, 3, seed=40))
+        w0 = self.random_stack(3, 5, seed=50)[[0, 2]]
+        calls = []
+        direction = _kernels._conjugate_direction
+
+        def spy(A, gnorm2, H, prev_gnorm2):
+            calls.append((H.copy(), *direction(A, gnorm2, H, prev_gnorm2)))
+            return calls[-1][1:]
+
+        monkeypatch.setattr(_kernels, "_conjugate_direction", spy)
+        assert not _kernels.roof_descent(bt, w0, 40, TOL_NATS)[2]
+        assert len(calls) == 40
+        for k, (h_in, _, _) in enumerate(calls):
+            if k % 18 == 0:
+                assert not h_in.any()
+            else:
+                assert np.array_equal(h_in, calls[k - 1][1])
+
+
+class TestConjugateDirection:
+    def test_falls_back_to_the_gradient_unless_it_descends(self):
+        # Three restarts with one gradient generator A and beta = 1: the
+        # previous direction A gives 2A (slope 2|A|^2); -A gives 0 (slope
+        # 0) and -2A gives -A (slope -|A|^2), neither a descent direction,
+        # so both fall back to A with slope |A|^2.
+        bt, w0 = random_ensemble(2, seed=3)
+        A = _kernels._roof_gradient(w0 @ bt)
+        gnorm2 = 0.5 * np.sum(np.abs(A) ** 2)
+        stack = np.stack([A, A, A])
+        H, slope = _kernels._conjugate_direction(
+            stack, np.full(3, gnorm2), np.stack([A, -A, -2 * A]), np.full(3, gnorm2)
+        )
+        assert np.array_equal(H[0], 2 * A) and slope[0] == pytest.approx(2 * gnorm2)
+        assert np.array_equal(H[1], A) and np.array_equal(H[2], A)
+        assert slope[1] == slope[2] == gnorm2
 
 
 class TestQubitGrid:

@@ -112,17 +112,35 @@ class TestOptimizeRoof:
             with pytest.raises(ValueError):
                 optimize_roof(random_density(2, 2, 1), RoofConfig(restarts=restarts))
 
-    @pytest.mark.parametrize("seeds", [(12, 13), (14, 15)])
+    @pytest.mark.parametrize("seeds", [(12, 13), (14, 15), (10, 11)])
     def test_exact_value_of_two_qubit_product(self, seeds):
         # The roof is additive (Winter & Yang, PRL 116, 120404 (2016)), so
         # the d = 4 value of a product of qubits is the sum of two analytic
-        # qubit values.
+        # qubit values. 10 x 11 is the ill-conditioned one: steepest descent
+        # ran out of its 2000 iterations 5.2e-6 above the exact value.
         a, b = (random_density(2, 2, seed=s) for s in seeds)
         rho = DensityMatrix(np.kron(a.mat, b.mat))
-        result = optimize_roof(rho, RoofConfig(restarts=4))
+        result = optimize_roof(rho, RoofConfig(restarts=4, max_iterations=2000))
         assert result.converged
         exact = r_qubit_analytic(a) + r_qubit_analytic(b)
-        assert result.value == pytest.approx(exact, abs=1e-6)
+        assert result.value == pytest.approx(exact, abs=1e-7)
+
+    @pytest.mark.parametrize(
+        "p,sigma_seed,sigma_rank,seed",
+        [(0.7, 20, 2, 0), (0.5, 21, 2, 1), (0.3, 22, 2, 2), (0.6, 23, 1, 3), (0.9, 24, 2, 4)],
+    )
+    def test_exact_value_of_qutrit_direct_sum(self, p, sigma_seed, sigma_rank, seed):
+        # rho = p sigma (+) (1 - p)|2><2| has the value p R(sigma): the
+        # projections onto the blocks {0, 1} and {2} are incoherent, so
+        # selective monotonicity gives >=, and mixing sigma's optimal
+        # ensemble with |2> gives <=.
+        sigma = random_density(2, sigma_rank, seed=sigma_seed)
+        mat = np.zeros((3, 3), dtype=complex)
+        mat[:2, :2] = p * sigma.mat
+        mat[2, 2] = 1.0 - p
+        result = optimize_roof(DensityMatrix(mat), RoofConfig(restarts=4, seed=seed))
+        assert result.converged
+        assert result.value == pytest.approx(p * r_qubit_analytic(sigma), abs=1e-7)
 
     def test_dominates_rel_ent_in_dimension_three(self):
         # The roof value upper-estimates the true minimum, which itself
