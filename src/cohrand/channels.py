@@ -5,19 +5,24 @@ every operator has at most one nonzero entry, which guarantees that
 incoherent states map to incoherent states. The property harnesses turn the
 monotonicity and convexity requirements of a coherence measure into
 checkable reports over seeded random inputs.
+
+Channel application, the measures and the harnesses have one
+implementation each, which takes a stack: N states as an (N, d, d) array
+and N Kraus sets of k operators as an (N, k, d, d) array. The single-state
+functions call it on a stack of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonExactMeasure, NotAPartition
-from .measures import MeasureId, c_l1, c_rel_ent, r_qubit_analytic
-from .states import DensityMatrix, validate_density
+from .measures import MeasureId, c_l1_values, c_rel_ent_values, r_qubit_analytic_values
+from .states import DensityMatrix, validate_densities
 
 COLUMN_ZERO_THRESHOLD = 1e-12
 TRACE_PRESERVATION_TOL = 1e-10
@@ -34,7 +39,7 @@ class PropertyId(str, Enum):
 
 @dataclass(frozen=True)
 class KrausSet:
-    operators: list  # list of d x d complex ndarrays
+    operators: Sequence  # d x d complex ndarrays: a list, or a (k, d, d) array
 
     @property
     def dim(self) -> int:
@@ -65,66 +70,82 @@ class MonotonicityCheck:
         return self.c2a.passed and self.c2b.passed
 
 
-def exact_measure_value(measure: MeasureId, rho: DensityMatrix) -> float:
-    """Evaluate a measure where an exact value is available.
+def exact_measure_values(measure: MeasureId, mats: np.ndarray) -> np.ndarray:
+    """Evaluate a measure on each matrix of an (N, d, d) stack, where an
+    exact value is available.
 
     The optimizer-based roof is only an upper estimate for d > 2 and would
     fabricate property violations, so it is rejected there; on qubits the
     roof has an exact analytic form.
     """
     if measure == MeasureId.REL_ENT:
-        return c_rel_ent(rho)
+        return c_rel_ent_values(mats)
     if measure == MeasureId.L1:
-        return c_l1(rho)
+        return c_l1_values(mats)
     if measure == MeasureId.QUBIT_ANALYTIC:
-        return r_qubit_analytic(rho)
+        return r_qubit_analytic_values(mats)
     if measure == MeasureId.ROOF_RANDOMNESS:
-        if rho.dim != 2:
+        if mats.shape[-1] != 2:
             raise NonExactMeasure(
                 "optimizer-based roof values are upper estimates for d > 2; "
                 "property checks need an exact measure"
             )
-        return r_qubit_analytic(rho)
+        return r_qubit_analytic_values(mats)
     raise ValueError(f"unknown measure {measure}")
 
 
-def _check_dims(ks: KrausSet) -> int:
+def exact_measure_value(measure: MeasureId, rho: DensityMatrix) -> float:
+    """:func:`exact_measure_values` of one state."""
+    return float(exact_measure_values(measure, rho.mat[None])[0])
+
+
+def _kraus_stack(ks: KrausSet) -> np.ndarray:
+    """The operators as a (1, k, d, d) stack."""
     d = ks.operators[0].shape[0]
     for op in ks.operators:
         if op.shape != (d, d):
             raise DimensionMismatch(f"operator shape {op.shape} != ({d}, {d})")
-    return d
+    return np.asarray(ks.operators, dtype=complex)[None]
+
+
+def _state_and_kraus(rho: DensityMatrix, ks: KrausSet):
+    kraus = _kraus_stack(ks)
+    d = kraus.shape[-1]
+    if rho.dim != d:
+        raise DimensionMismatch(f"state dim {rho.dim} != channel dim {d}")
+    return rho.mat[None], kraus
+
+
+def _incoherent_mask(kraus: np.ndarray) -> np.ndarray:
+    """For each Kraus set of an (N, k, d, d) stack: trace preservation plus
+    at-most-one-nonzero-per-column structure."""
+    nonzero_per_col = np.sum(np.abs(kraus) > COLUMN_ZERO_THRESHOLD, axis=-2)
+    structured = (nonzero_per_col <= 1).all(axis=(1, 2))
+    acc = np.sum(kraus.conj().swapaxes(-1, -2) @ kraus, axis=1)
+    tp_dev = np.abs(acc - np.eye(kraus.shape[-1])).max(axis=(1, 2))
+    return structured & (tp_dev <= TRACE_PRESERVATION_TOL)
 
 
 def is_incoherent_kraus_set(ks: KrausSet) -> bool:
     """Trace preservation plus at-most-one-nonzero-per-column structure."""
-    d = _check_dims(ks)
-    acc = np.zeros((d, d), dtype=complex)
-    for op in ks.operators:
-        acc += op.conj().T @ op
-        nonzero_per_col = np.sum(np.abs(op) > COLUMN_ZERO_THRESHOLD, axis=0)
-        if np.any(nonzero_per_col > 1):
-            return False
-    return bool(np.max(np.abs(acc - np.eye(d))) <= TRACE_PRESERVATION_TOL)
+    return bool(_incoherent_mask(_kraus_stack(ks))[0])
 
 
 def random_incoherent_kraus(d: int, n_ops: int, seed: int) -> KrausSet:
     """Random incoherent channel: operator n places column j's weight on a
     random target row, with per-operator rows chosen by a random
     permutation so the completeness sum stays exactly diagonal; columns are
-    then rescaled to make the set trace preserving."""
+    then rescaled to make the set trace preserving. The operators come as
+    one (n_ops, d, d) array."""
     if n_ops < 1:
         raise ValueError("n_ops must be >= 1")
     rng = np.random.default_rng(seed)
     weights = rng.standard_normal((n_ops, d)) + 1j * rng.standard_normal((n_ops, d))
     scale = np.sqrt(np.sum(np.abs(weights) ** 2, axis=0))
-    ops = []
-    for n in range(n_ops):
-        perm = rng.permutation(d)
-        op = np.zeros((d, d), dtype=complex)
-        for j in range(d):
-            op[perm[j], j] = weights[n, j] / scale[j]
-        ops.append(op)
+    # One permutation per operator, drawn as n_ops successive permutation(d) calls would.
+    rows = rng.permuted(np.broadcast_to(np.arange(d), (n_ops, d)), axis=1)
+    ops = np.zeros((n_ops, d, d), dtype=complex)
+    ops[np.arange(n_ops)[:, None], rows, np.arange(d)] = weights / scale
     return KrausSet(ops)
 
 
@@ -136,30 +157,34 @@ def identity_kraus(d: int) -> KrausSet:
     return KrausSet([np.eye(d, dtype=complex)])
 
 
+def _channel_terms(mats: np.ndarray, kraus: np.ndarray) -> np.ndarray:
+    """K_n rho K_n^dag for every state and operator: (N, k, d, d)."""
+    return kraus @ mats[:, None] @ kraus.conj().swapaxes(-1, -2)
+
+
+def _channel_outputs(terms: np.ndarray) -> np.ndarray:
+    """The validated channel output sum_n K_n rho K_n^dag of each state."""
+    return validate_densities(terms.sum(axis=1), tol=1e-9)
+
+
+def _selective_outcomes(terms: np.ndarray):
+    """(p, keep, states): the (N, k) outcome probabilities, the mask of
+    outcomes above OUTCOME_DROP_THRESHOLD, and the kept post-selected
+    states, validated, in row-major (state, operator) order."""
+    p = np.trace(terms, axis1=-2, axis2=-1).real
+    keep = p > OUTCOME_DROP_THRESHOLD
+    return p, keep, validate_densities(terms[keep] / p[keep][:, None, None], tol=1e-9)
+
+
 def apply_channel(rho: DensityMatrix, ks: KrausSet) -> DensityMatrix:
-    d = _check_dims(ks)
-    if rho.dim != d:
-        raise DimensionMismatch(f"state dim {rho.dim} != channel dim {d}")
-    out = np.zeros((d, d), dtype=complex)
-    for op in ks.operators:
-        out += op @ rho.mat @ op.conj().T
-    return validate_density(out, tol=1e-9)
+    return DensityMatrix(_channel_outputs(_channel_terms(*_state_and_kraus(rho, ks)))[0])
 
 
 def apply_selective(rho: DensityMatrix, ks: KrausSet) -> list:
     """Post-selected outcomes (p_n, rho_n); outcomes with negligible
     probability are omitted."""
-    d = _check_dims(ks)
-    if rho.dim != d:
-        raise DimensionMismatch(f"state dim {rho.dim} != channel dim {d}")
-    outcomes = []
-    for op in ks.operators:
-        unnorm = op @ rho.mat @ op.conj().T
-        p = float(np.real(np.trace(unnorm)))
-        if p <= OUTCOME_DROP_THRESHOLD:
-            continue
-        outcomes.append(SelectiveOutcome(p, validate_density(unnorm / p, tol=1e-9)))
-    return outcomes
+    p, keep, states = _selective_outcomes(_channel_terms(*_state_and_kraus(rho, ks)))
+    return [SelectiveOutcome(float(pn), DensityMatrix(s)) for pn, s in zip(p[keep], states)]
 
 
 def projection_partition_kraus(partition, d: Optional[int] = None) -> KrausSet:
@@ -179,23 +204,53 @@ def projection_partition_kraus(partition, d: Optional[int] = None) -> KrausSet:
     return KrausSet(ops)
 
 
+def monotonicity_slacks(measures, mats: np.ndarray, kraus: np.ndarray) -> dict:
+    """C2a (non-selective) and C2b (selective average) slacks of each
+    measure over an (N, d, d) state stack and an (N, k, d, d) stack of
+    incoherent Kraus sets: {measure: (slack_a, slack_b)}, arrays of N.
+    Positive slack means a violation."""
+    if not _incoherent_mask(kraus).all():
+        raise ValueError("Kraus set is not incoherent; monotonicity is not guaranteed")
+    terms = _channel_terms(mats, kraus)
+    outputs = _channel_outputs(terms)
+    p, keep, outcomes = _selective_outcomes(terms)
+    slacks = {}
+    for measure in dict.fromkeys(measures):
+        base = exact_measure_values(measure, mats)
+        weighted = np.zeros(p.shape)
+        weighted[keep] = p[keep] * exact_measure_values(measure, outcomes)
+        slack_a = exact_measure_values(measure, outputs) - base
+        slacks[measure] = (slack_a, weighted.sum(axis=1) - base)
+    return slacks
+
+
 def check_monotonicity(
     measure: MeasureId, rho: DensityMatrix, ks: KrausSet, tol: float = 1e-9
 ) -> MonotonicityCheck:
     """Slack of C2a (non-selective) and C2b (selective average) for an
     incoherent channel. Positive slack means a violation."""
-    if not is_incoherent_kraus_set(ks):
-        raise ValueError("Kraus set is not incoherent; monotonicity is not guaranteed")
-    base = exact_measure_value(measure, rho)
-    slack_a = exact_measure_value(measure, apply_channel(rho, ks)) - base
-    slack_b = (
-        sum(o.p * exact_measure_value(measure, o.rho) for o in apply_selective(rho, ks)) - base
-    )
+    ((slack_a, slack_b),) = monotonicity_slacks((measure,), *_state_and_kraus(rho, ks)).values()
+    slack_a, slack_b = float(slack_a[0]), float(slack_b[0])
     witness = None if max(slack_a, slack_b) <= tol else (rho, ks)
     return MonotonicityCheck(
         PropertyReport(PropertyId.C2A, slack_a <= tol, slack_a, witness),
         PropertyReport(PropertyId.C2B, slack_b <= tol, slack_b, witness),
     )
+
+
+def convexity_slacks(measures, weights, mats: np.ndarray) -> dict:
+    """C3 slacks C(sum_k q_k rho_k) - sum_k q_k C(rho_k) of each measure
+    over an (N, n, d, d) stack of n-state ensembles that share the weights
+    q: {measure: array of N}. Positive slack means a violation."""
+    q = np.asarray(weights, dtype=float)
+    n_ens, n, d, _ = mats.shape
+    mixed = validate_densities((q[:, None, None] * mats).sum(axis=1), tol=1e-9)
+    members = mats.reshape(n_ens * n, d, d)
+    return {
+        measure: exact_measure_values(measure, mixed)
+        - (q * exact_measure_values(measure, members).reshape(n_ens, n)).sum(axis=1)
+        for measure in dict.fromkeys(measures)
+    }
 
 
 def check_convexity(measure: MeasureId, ensemble, tol: Optional[float] = None) -> PropertyReport:
@@ -205,12 +260,7 @@ def check_convexity(measure: MeasureId, ensemble, tol: Optional[float] = None) -
         raise ValueError("ensemble weights must be a probability distribution")
     if tol is None:
         tol = 1e-6 if measure == MeasureId.ROOF_RANDOMNESS else 1e-9
-    dim = ensemble[0][1].dim
-    mixed = validate_density(
-        sum(q * rho.mat for q, rho in ensemble) + np.zeros((dim, dim)), tol=1e-9
-    )
-    slack = exact_measure_value(measure, mixed) - sum(
-        q * exact_measure_value(measure, rho) for q, rho in ensemble
-    )
+    mats = np.stack([rho.mat for _, rho in ensemble])[None]
+    slack = float(convexity_slacks((measure,), qs, mats)[measure][0])
     witness = None if slack <= tol else ensemble
     return PropertyReport(PropertyId.C3, slack <= tol, slack, witness)

@@ -124,7 +124,7 @@ def _report_dict(report: PropertyReport) -> dict:
         "property": report.property_id.value,
         "passed": report.passed,
         "worst_slack": report.worst_slack,
-        "witness": repr(report.witness) if report.witness is not None else None,
+        "witness": report.witness,
     }
 
 

@@ -104,6 +104,8 @@ def load_stream(path) -> OutcomeStream:
         raise ValueError(f"stream header lacks {' and '.join(missing)}")
     dim = int(header["dim"])
     seed = int(header["seed"])
+    if dim < 1:
+        raise ValueError(f"stream header dim must be at least 1, got {dim}")
     symbols = np.array([int(s) for s in lines[1:] if s.strip()], dtype=np.int64)
     if np.any(symbols < 0) or np.any(symbols >= dim):
         raise ValueError(f"stream contains symbols outside 0..{dim - 1}")

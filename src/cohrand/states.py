@@ -70,26 +70,44 @@ def _require_finite(values, what: str) -> None:
         raise NotFinite(f"{what} has a NaN or infinite entry")
 
 
-def validate_density(m, tol: float = DEFAULT_TOL) -> DensityMatrix:
-    """Validate a raw square complex matrix as a density matrix.
+def validate_densities(m, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Validate an (N, d, d) stack of raw complex matrices as density
+    matrices and return it as a complex array.
 
-    Raises NotFinite / NotHermitian / TraceNotOne / NotPSD naming the
-    offending magnitude.
+    Raises NotFinite / NotHermitian / TraceNotOne / NotPSD for the first
+    matrix in the stack that fails, naming the offending magnitude; each
+    matrix is checked in that order.
     """
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise ValueError(f"expected an (N, d, d) stack, got shape {m.shape}")
+    finite = np.isfinite(m).all(axis=(1, 2))
+    # A matrix with a NaN or inf fails on finiteness first; its other
+    # checks run on zeros, which eigvalsh accepts.
+    c = m if finite.all() else np.where(finite[:, None, None], m, 0.0)
+    herm_dev = np.abs(c - c.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    trace_dev = np.abs(np.trace(c, axis1=1, axis2=2) - 1.0)
+    eigmin = np.linalg.eigvalsh(c)[:, 0]
+    ok = finite & (herm_dev <= tol) & (trace_dev <= tol) & (eigmin >= -tol)
+    if ok.all():
+        return m
+    i = int(np.argmin(ok))
+    if not finite[i]:
+        raise NotFinite("density matrix has a NaN or infinite entry")
+    if not herm_dev[i] <= tol:
+        raise NotHermitian(f"max |rho_ij - conj(rho_ji)| = {herm_dev[i]:.3e} > {tol:.1e}")
+    if not trace_dev[i] <= tol:
+        raise TraceNotOne(f"|Tr rho - 1| = {trace_dev[i]:.3e} > {tol:.1e}")
+    raise NotPSD(f"smallest eigenvalue = {eigmin[i]:.3e} < -{tol:.1e}")
+
+
+def validate_density(m, tol: float = DEFAULT_TOL) -> DensityMatrix:
+    """Validate a raw square complex matrix as a density matrix: the stack
+    check of :func:`validate_densities` on a stack of one."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    _require_finite(m, "density matrix")
-    herm_dev = float(np.max(np.abs(m - m.conj().T)))
-    if herm_dev > tol:
-        raise NotHermitian(f"max |rho_ij - conj(rho_ji)| = {herm_dev:.3e} > {tol:.1e}")
-    trace_dev = abs(complex(np.trace(m)) - 1.0)
-    if trace_dev > tol:
-        raise TraceNotOne(f"|Tr rho - 1| = {trace_dev:.3e} > {tol:.1e}")
-    eigmin = float(np.linalg.eigvalsh(m)[0])
-    if eigmin < -tol:
-        raise NotPSD(f"smallest eigenvalue = {eigmin:.3e} < -{tol:.1e}")
-    return DensityMatrix(m)
+    return DensityMatrix(validate_densities(m[None], tol)[0])
 
 
 def pure_state(amps, tol: float = 1e-12) -> PureState:
@@ -122,16 +140,24 @@ def dephase(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(np.diag(np.diag(rho.mat)))
 
 
-def _entropy_of_eigenvalues(lam: np.ndarray) -> float:
-    # Eigenvalues in [-1e-10, 0) are finite-precision PSD drift; clamp to 0.
-    lam = np.where((lam < 0) & (lam >= -1e-10), 0.0, lam)
-    lam = lam[lam > 0]
-    return float(-np.sum(lam * np.log2(lam)))
+def entropy_bits(lam: np.ndarray) -> np.ndarray:
+    """-sum lambda log2 lambda over the last axis, in bits, counting only
+    lambda > 0: eigenvalues at or below 0 are finite-precision PSD drift.
+    Their terms are computed as 1 log2 1 = 0, and ``0.0 -`` makes a zero
+    entropy read 0.0, not -0.0."""
+    x = np.where(lam > 0, lam, 1.0)
+    return 0.0 - np.sum(x * np.log2(x), axis=-1)
+
+
+def von_neumann_entropies(mats: np.ndarray) -> np.ndarray:
+    """S(rho) = -sum lambda log2 lambda, in bits, for each matrix of an
+    (N, d, d) stack."""
+    return entropy_bits(np.linalg.eigvalsh(mats))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -sum lambda log2 lambda, in bits."""
-    return _entropy_of_eigenvalues(np.linalg.eigvalsh(rho.mat))
+    return float(von_neumann_entropies(rho.mat[None])[0])
 
 
 def shannon_entropy(p, tol: float = 1e-12) -> float:

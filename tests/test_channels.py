@@ -19,7 +19,7 @@ from cohrand import (
     random_incoherent_kraus,
     random_density,
 )
-from cohrand.channels import exact_measure_value
+from cohrand.channels import exact_measure_value, monotonicity_slacks
 from cohrand.errors import DimensionMismatch, NonExactMeasure, NotAPartition
 from cohrand.states import DensityMatrix
 
@@ -147,6 +147,13 @@ class TestPropertyHarnesses:
         rho = random_density(2, 2, seed=12)
         with pytest.raises(ValueError):
             check_monotonicity(MeasureId.L1, rho, hadamard_kraus())
+
+    def test_stacked_monotonicity_rejects_a_coherent_channel_in_the_stack(self):
+        rhos = np.stack([random_density(2, 2, seed=s).mat for s in (12, 13, 14)])
+        incoherent = np.asarray(random_incoherent_kraus(2, 1, seed=15).operators)
+        kraus = np.stack([incoherent, np.asarray(hadamard_kraus().operators), incoherent])
+        with pytest.raises(ValueError, match="not incoherent"):
+            monotonicity_slacks((MeasureId.L1,), rhos, kraus)
 
     def test_convexity_passes(self):
         ensemble = [

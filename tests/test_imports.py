@@ -2,6 +2,7 @@
 of its modules may import which."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -69,3 +70,30 @@ def test_no_unused_imports(module):
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _traced_names() -> list:
+    """The "module.name" strings of the benchmark's SELF_S and CALLS tuples,
+    read from its source so that its import-time environment set-up does
+    not run here."""
+    tree = ast.parse((PACKAGE.parents[1] / "perfbench" / "run.py").read_text())
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in ("SELF_S", "CALLS") for t in node.targets
+        ):
+            names.extend(ast.literal_eval(node.value))
+    return names
+
+
+def test_benchmark_traces_names_that_exist():
+    # The benchmark's tracer resolves each name with getattr, so a traced
+    # run would crash on a function the package no longer has.
+    names = _traced_names()
+    assert len(names) > 20
+    missing = []
+    for name in names:
+        module, attr = name.rsplit(".", 1)
+        if not callable(getattr(importlib.import_module(f"cohrand.{module}"), attr, None)):
+            missing.append(name)
+    assert missing == []

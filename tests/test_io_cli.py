@@ -160,6 +160,15 @@ class TestStreamFiles:
         with pytest.raises(ValueError):
             load_stream(path)
 
+    @pytest.mark.parametrize("header", ["# dim=0 seed=1", "# dim=-2 seed=1"])
+    @pytest.mark.parametrize("body", ["", "0\n"])
+    def test_dim_below_one_rejected(self, header, body, tmp_path):
+        # With no symbols to range-check, dim=0 once loaded as a stream.
+        path = tmp_path / "bad.txt"
+        path.write_text(header + "\n" + body)
+        with pytest.raises(ValueError, match="at least 1"):
+            load_stream(path)
+
     def test_out_of_range_symbols(self, tmp_path):
         path = tmp_path / "oob.txt"
         path.write_text("# dim=2 seed=0\n0\n5\n")

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from cohrand import (
+    basis_state,
     binary_entropy,
     bloch_to_density,
     c_l1,
@@ -21,6 +24,7 @@ from cohrand import (
     random_density,
 )
 from cohrand.errors import DimensionNot2
+from cohrand.measures import c_l1_values, c_rel_ent_values, r_qubit_analytic_values
 from cohrand.states import DensityMatrix
 
 # Frozen values from an independent Nelder-Mead minimization of the quantum
@@ -161,3 +165,44 @@ class TestOrderingRelations:
         for i in range(50):
             rho = random_density(2, 1 + i % 2, seed=500 + i)
             assert r_qubit_analytic(rho) >= c_rel_ent(rho) - 1e-9
+
+
+@st.composite
+def state_stacks(draw):
+    """An (N, d, d) stack at d = 2..6: seeded random states of every rank,
+    mixed with the boundary cases (basis, maximally coherent and maximally
+    mixed states)."""
+    d = draw(st.integers(2, 6))
+    random_state = st.builds(
+        lambda rank, s: random_density(d, rank, s).mat,
+        st.integers(1, d),
+        st.integers(0, 2**32 - 1),
+    )
+    boundary = st.sampled_from(
+        [
+            basis_state(d, d - 1).projector().mat,
+            maximally_coherent_state(d).projector().mat,
+            np.eye(d, dtype=complex) / d,
+        ]
+    )
+    return d, np.stack(draw(st.lists(random_state | boundary, min_size=1, max_size=8)))
+
+
+class TestStackedRanges:
+    @seed(20261018)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(state_stacks())
+    def test_stacked_matches_single_and_stays_in_range(self, stack):
+        d, mats = stack
+        singles = [DensityMatrix(m) for m in mats]
+        rel, l1 = c_rel_ent_values(mats), c_l1_values(mats)
+        # A stack of N runs each matrix through the same arithmetic as a
+        # stack of one, so the values agree bit for bit.
+        assert rel.tolist() == [c_rel_ent(rho) for rho in singles]
+        assert l1.tolist() == [c_l1(rho) for rho in singles]
+        assert np.all((rel >= 0.0) & (rel <= math.log2(d) + 1e-12))
+        assert np.all((l1 >= 0.0) & (l1 <= d - 1 + 1e-12))
+        if d == 2:
+            r = r_qubit_analytic_values(mats)
+            assert r.tolist() == [r_qubit_analytic(rho) for rho in singles]
+            assert np.all((r >= 0.0) & (r <= 1.0))

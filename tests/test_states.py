@@ -21,6 +21,7 @@ from cohrand import (
     von_neumann_entropy,
 )
 from cohrand.errors import DimensionNot2, NotFinite, NotHermitian, NotPSD, TraceNotOne
+from cohrand.states import validate_densities
 
 
 class TestValidateDensity:
@@ -64,6 +65,27 @@ class TestValidateDensity:
         m[0, 1] = m[1, 0] = complex(0.0, bad)
         with pytest.raises(NotFinite):
             validate_density(m)
+
+    @pytest.mark.parametrize(
+        "order, error",
+        [
+            (("psd", "nan", "herm"), NotPSD),
+            (("nan", "psd", "herm"), NotFinite),
+            (("herm", "nan", "trace"), NotHermitian),
+            (("trace", "psd", "nan"), TraceNotOne),
+        ],
+    )
+    def test_stack_reports_its_first_failing_matrix(self, order, error):
+        bad = {
+            "nan": np.diag([math.nan, 1.0]),
+            "herm": np.array([[0.5, 0.3], [0.0, 0.5]]),
+            "trace": np.diag([0.6, 0.6]),
+            "psd": np.diag([1.2, -0.2]),
+        }
+        good = np.eye(2) / 2
+        with pytest.raises(error):
+            validate_densities(np.stack([good, *(bad[k] for k in order), good]))
+        assert validate_densities(np.stack([good, good])).shape == (2, 2, 2)
 
 
 class TestPureState:
