@@ -6,12 +6,13 @@
   Fletcher-Reeves conjugate directions on the unitary group, which fall
   back to the gradient when they do not descend and every 2m iterations;
 * :func:`qubit_grid_min` -- the brute-force qubit roof oracle;
-* :func:`toeplitz_gf2` -- the Toeplitz GF(2) hash, as an FFT product.
+* :func:`toeplitz_gf2` -- the Toeplitz GF(2) hash, as one circular FFT product.
 
 tests/test_kernels.py checks them against central differences, the naive
-Toeplitz product and the analytic qubit roof, checks that a batched
-descent returns what its restarts return one by one, and checks the
-direction's fallback and resets.
+Toeplitz product and the analytic qubit roof, checks the FFT length
+against a brute-force search, checks that a batched descent returns what
+its restarts return one by one, and checks the direction's fallback and
+resets.
 """
 
 from __future__ import annotations
@@ -204,18 +205,36 @@ def qubit_grid_min(b00, b01, b10, b11, grid_n):
 # --------------------------------------------------------------------------
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 2**a * 3**b * 5**c >= n, for n >= 1: an FFT length."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def toeplitz_gf2(diag_bits: np.ndarray, x_bits: np.ndarray, out_len: int) -> np.ndarray:
     """y_i = XOR_j T[i, j] x_j with T[i, j] = diag_bits[i - j + in_len - 1].
 
-    Computed as an FFT convolution, which is exact because the integer
-    convolution values stay far below 2**53."""
-    from scipy.fft import irfft, next_fast_len, rfft
-
+    Computed as one circular FFT convolution of length n >= L = len(diag_bits)
+    = out_len + in_len - 1. Output i is the linear convolution at index
+    k = i + in_len - 1. The circular one at k sums diag_bits[a] x_b over
+    a + b = k and over a + b = k + n, but a + b <= (L - 1) + (in_len - 1)
+    < k + n, since k >= in_len - 1 and n >= L: nothing wraps onto an
+    output. The FFT is exact because the integer convolution values stay
+    far below 2**53."""
+    if out_len == 0:
+        return np.zeros(0, dtype=np.uint8)
     diag_bits = np.ascontiguousarray(diag_bits, dtype=np.uint8)
     x_bits = np.ascontiguousarray(x_bits, dtype=np.uint8)
     in_len = len(x_bits)
-    n = next_fast_len(len(diag_bits) + in_len - 1)
-    conv = irfft(rfft(diag_bits.astype(float), n) * rfft(x_bits.astype(float), n), n)
+    n = _fast_len(len(diag_bits))
+    conv = np.fft.irfft(np.fft.rfft(diag_bits, n) * np.fft.rfft(x_bits, n), n)
     seg = conv[in_len - 1 : in_len - 1 + out_len]
     rounded = np.rint(seg)
     if np.max(np.abs(seg - rounded)) > 0.1:  # pragma: no cover

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import cohrand
+from cohrand.stateio import save_state
 
 PACKAGE = Path(cohrand.__file__).resolve().parent
 
@@ -31,19 +32,28 @@ def _relative_imports(tree: ast.Module) -> set:
     return out
 
 
-def test_cli_import_loads_no_scipy():
-    # A fresh interpreter: this test process may have loaded scipy already.
-    # scipy is needed only by the Toeplitz hash, which imports it on first use.
-    code = (
-        "import sys, cohrand.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
+def _scipy_modules_after(code: str) -> str:
+    """The scipy modules loaded after running code in a fresh interpreter:
+    this test process may have loaded scipy already."""
+    code += "; import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_loads_no_scipy():
+    assert _scipy_modules_after("import cohrand.cli") == "[]"
+
+
+def test_pipeline_call_loads_no_scipy(tmp_path):
+    # The pipeline runs the Toeplitz hash, whose FFT is numpy's.
+    path = tmp_path / "psi.json"
+    save_state(cohrand.pure_state([0.8, 0.6]), path)
+    argv = ["pipeline", str(path), "--groups", "20", "--group-n", "50"]
+    assert _scipy_modules_after(f"import cohrand.cli; cohrand.cli.main({argv!r})") == "[]"
 
 
 @pytest.mark.parametrize(

@@ -302,3 +302,9 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["path_a_bits"] > 0
         assert out["path_b_bits"] > 0
+
+    def test_pipeline_on_one_copy(self, plus_file, capsys):
+        # One copy at rate 0.98 hashes down to floor(0.98) = 0 bits.
+        assert main(["pipeline", plus_file, "--groups", "1", "--group-n", "1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["path_a_bits"], out["path_a_monobit_z"]) == (0, 0.0)

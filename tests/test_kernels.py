@@ -213,9 +213,29 @@ class TestToeplitzBackends:
         t = np.array([[diag[i - j + n - 1] for j in range(n)] for i in range(out_len)])
         return ((t @ x) % 2).astype(np.uint8)
 
-    @pytest.mark.parametrize("in_len,out_len", [(10, 4), (64, 64), (100, 63), (257, 129)])
+    # (8, 8) and (9, 9) put L = out_len + in_len - 1 at 15, which is 5-smooth,
+    # and at 17, one above the 5-smooth 16; (300, 1) has out_len << in_len.
+    @pytest.mark.parametrize(
+        "in_len,out_len",
+        [(10, 4), (64, 64), (100, 63), (257, 129), (8, 8), (9, 9), (1, 1), (300, 1)],
+    )
     def test_all_paths_agree(self, in_len, out_len):
         rng = np.random.default_rng(in_len * 1000 + out_len)
         diag = rng.integers(0, 2, size=out_len + in_len - 1, dtype=np.uint8)
         x = rng.integers(0, 2, size=in_len, dtype=np.uint8)
         assert np.array_equal(_kernels.toeplitz_gf2(diag, x, out_len), self.naive(diag, x, out_len))
+
+    def test_zero_output_length_is_empty(self):
+        out = _kernels.toeplitz_gf2(np.ones(2, dtype=np.uint8), np.ones(3, dtype=np.uint8), 0)
+        assert out.dtype == np.uint8 and out.shape == (0,)
+
+    def test_fast_len_is_the_smallest_5_smooth_length(self):
+        def smooth(k):
+            for p in (2, 3, 5):
+                while k % p == 0:
+                    k //= p
+            return k == 1
+
+        lengths = [k for k in range(1, 5200) if smooth(k)]
+        for L in range(1, 5001):
+            assert _kernels._fast_len(L) == next(k for k in lengths if k >= L), L

@@ -74,6 +74,11 @@ class TestToeplitzExtract:
         assert report.output_length == 700
         assert len(out.symbols) == 700
 
+    def test_rate_below_one_output_bit_gives_no_bits(self):
+        out, report = toeplitz_extract(OutcomeStream(np.array([1, 0, 1]), 2, 0), 0.2, seed=0)
+        assert len(out.symbols) == 0
+        assert (report.output_length, report.monobit_z) == (0, 0.0)
+
     def test_zero_input_gives_zero_output(self):
         stream = OutcomeStream(np.zeros(256, dtype=np.int64), 2, 0)
         out, _ = toeplitz_extract(stream, 0.5, seed=1)
