@@ -29,36 +29,47 @@ LN2 = math.log(2.0)
 # --------------------------------------------------------------------------
 
 
-def _objective(psi):
+def _entropy_terms(psi):
     """Roof objective of each ensemble of unnormalized rows psi (..., m, d),
     in nats: sum over rows of -sum q ln q + p ln p, with q = |row|^2 and p
-    the row norm squared (0 ln 0 = 0)."""
+    the row norm squared (0 ln 0 = 0); with q, ln q and ln p for
+    :func:`_generator`, each log 0 where its argument is at most 1e-300."""
     q = psi.real * psi.real + psi.imag * psi.imag
     p = q.sum(axis=-1)
-    q_ln_q = q * np.log(q, where=q > 1e-300, out=np.zeros_like(q))
-    rows = p * np.log(p, where=p > 1e-300, out=np.zeros_like(p)) - q_ln_q.sum(axis=-1)
-    return rows.sum(axis=-1)
+    # Where clamped, the log is taken of q + 1 == 1, which is exactly 0.
+    ln_q = np.log(q + (q <= 1e-300))
+    ln_p = np.log(p + (p <= 1e-300))
+    f = (p * ln_p - (q * ln_q).sum(axis=-1)).sum(axis=-1)
+    return f, q, ln_q, ln_p
+
+
+def _objective(psi):
+    """Roof objective of each ensemble of the stack psi (..., m, d), in nats."""
+    return _entropy_terms(psi)[0]
+
+
+def _generator(psi, q, ln_q, ln_p):
+    """:func:`_roof_gradient` from the :func:`_entropy_terms` of psi."""
+    D = np.subtract(ln_p[..., None], ln_q, where=q > 1e-300, out=np.zeros_like(q))
+    M = psi @ (D * psi).conj().swapaxes(-1, -2)
+    A = 2.0 * (M - M.conj().swapaxes(-1, -2))
+    diag = np.arange(A.shape[-1])
+    A[..., diag, diag] = 0.0
+    return A
 
 
 def _roof_gradient(psi):
     """Gradient of the objective as anti-Hermitian generators A, one per
     ensemble of the stack psi (..., m, d).
 
-    The objective has d/dq_ei = ln(p_e / q_ei) =: D_ei (0 where q_ei
+    The objective has d/dq_ei = ln p_e - ln q_ei =: D_ei (0 where q_ei
     vanishes, its limit there). With M = psi (D o psi)^dag, A = 2 (M - M^dag)
     off the diagonal and 0 on it: for each pair j < l the generator
     coordinates are g_r = Re A[l, j] = 2 Re(M[l, j] - M[j, l]) and
     g_i = -Im A[l, j] = -2 Im(M[l, j] + M[j, l]). Diagonal generators only
     change row phases and never move the objective.
     """
-    q = psi.real * psi.real + psi.imag * psi.imag
-    p = q.sum(axis=-1, keepdims=True)
-    D = np.log(p / np.maximum(q, 1e-300), where=q > 1e-300, out=np.zeros_like(q))
-    M = psi @ (D * psi).conj().swapaxes(-1, -2)
-    A = 2.0 * (M - M.conj().swapaxes(-1, -2))
-    diag = np.arange(A.shape[-1])
-    A[..., diag, diag] = 0.0
-    return A
+    return _generator(psi, *_entropy_terms(psi)[1:])
 
 
 def _conjugate_direction(A, gnorm2, H, prev_gnorm2):
@@ -96,7 +107,7 @@ def roof_descent(BT, W0, max_iter, tol_nats):
     """
     W = W0.copy()
     psi = W @ BT
-    f = _objective(psi)
+    f, *terms = _entropy_terms(psi)
     n, m = W.shape[:2]
     idx = np.arange(n)  # W0 index of each active restart
     prev_t = np.ones(n)
@@ -108,7 +119,7 @@ def roof_descent(BT, W0, max_iter, tol_nats):
     for it in range(max_iter):
         if not len(idx):
             break
-        A = _roof_gradient(psi)
+        A = _generator(psi, *terms)
         # Squared norm of the (g_r, g_i) coordinates over the pairs j < l.
         gnorm2 = 0.5 * np.einsum("...ij,...ij->...", A.conj(), A).real
         if it % (2 * m) == 0:
@@ -116,28 +127,35 @@ def roof_descent(BT, W0, max_iter, tol_nats):
         H, slope = _conjugate_direction(A, gnorm2, H, prev_g2)
         prev_g2 = gnorm2
         stop = gnorm2 < 1e-22
+        # exp(t H) = U diag(e^{-itw}) U^dag, applied to psi in the eigenbasis.
         w, U = np.linalg.eigh(1j * H)
         Uh = U.conj().swapaxes(-1, -2)
+        C = Uh @ psi
+        jw = -1j * w
         t = prev_t * 2.0
         # Every trial steps every active restart; one that has passed its
         # Armijo test keeps its t, so its last trial repeats its accepted
         # step exactly.
         searching = ~stop
         for _ls in range(60):
-            E = (U * np.exp(-1j * t[:, None] * w)[:, None, :]) @ Uh
-            psit = E @ psi
-            ft = _objective(psit)
-            searching &= ~(ft < f - 1e-4 * t * slope)
+            phase = np.exp(t[:, None] * jw)[..., None]
+            psi_t = U @ (phase * C)
+            f_t, *terms = _entropy_terms(psi_t)
+            searching &= ~(f_t < f - 1e-4 * t * slope)
             if not searching.any():
                 break
             t[searching] *= 0.5
         # A restart still searching after 60 halvings stops, counted as
-        # converged, as does one with a vanishing gradient.
+        # converged, as does one with a vanishing gradient. A restart that
+        # did not move leaves the active set below, so psi and its terms
+        # are read again only where the trial was accepted.
         moved = ~(stop | searching)
-        dec = f - ft
-        f = np.where(moved, ft, f)
-        psi = np.where(moved[:, None, None], psit, psi)
-        W = np.where(moved[:, None, None], E @ W, W)
+        dec = f - f_t
+        W_t = U @ (phase * (Uh @ W))
+        if not moved.all():
+            f_t = np.where(moved, f_t, f)
+            W_t = np.where(moved[:, None, None], W_t, W)
+        f, psi, W = f_t, psi_t, W_t
         prev_t = t
         # Linear convergence means the remaining gap is a multiple of the
         # per-iteration decrease; demand decreases well below the target
@@ -148,8 +166,8 @@ def roof_descent(BT, W0, max_iter, tol_nats):
             done = idx[stop]
             f_out[done], W_out[done], converged[done] = f[stop], W[stop], True
             keep = ~stop
-            idx, W, psi, f, prev_t, stall, H, prev_g2 = (
-                a[keep] for a in (idx, W, psi, f, prev_t, stall, H, prev_g2)
+            idx, W, psi, f, prev_t, stall, H, prev_g2, *terms = (
+                a[keep] for a in (idx, W, psi, f, prev_t, stall, H, prev_g2, *terms)
             )
     f_out[idx], W_out[idx] = f, W
     values = f_out / LN2
@@ -163,41 +181,21 @@ def roof_descent(BT, W0, max_iter, tol_nats):
 
 
 def qubit_grid_min(b00, b01, b10, b11, grid_n):
-    """Exhaustive grid over 2x2 mixing unitaries (three angles, grid_n
-    points each) applied to the eigendecomposition rows (b00, b01) and
-    (b10, b11). Returns the grid minimum of the roof objective in bits."""
-    phases = np.exp(2j * math.pi * np.arange(grid_n) / grid_n)
-    eb = phases[:, None]
-    ec = phases[None, :]
-    best = np.inf
-
-    def ent2(q0, q1):
-        p = q0 + q1
-        out = np.zeros_like(q0)
-        mask = q0 > 1e-300
-        out[mask] -= q0[mask] * np.log(q0[mask])
-        mask = q1 > 1e-300
-        out[mask] -= q1[mask] * np.log(q1[mask])
-        mask = p > 1e-300
-        out[mask] += p[mask] * np.log(p[mask])
-        return out
-
-    for ia in range(grid_n):
-        a = 0.5 * math.pi * ia / grid_n
-        ca = math.cos(a)
-        sa = math.sin(a)
-        u01 = -ec * sa
-        x0 = ca * b00 + u01 * b10
-        x1 = ca * b01 + u01 * b11
-        u10 = eb * sa
-        u11 = eb * ec * ca
-        y0 = u10 * b00 + u11 * b10
-        y1 = u10 * b01 + u11 * b11
-        val = ent2(np.abs(x0) ** 2, np.abs(x1) ** 2) + ent2(np.abs(y0) ** 2, np.abs(y1) ** 2)
-        vmin = float(val.min())
-        if vmin < best:
-            best = vmin
-    return best / LN2
+    """Grid minimum, in bits, of the roof objective over 2x2 mixing
+    unitaries applied to the eigendecomposition rows b0 = (b00, b01) and
+    b1 = (b10, b11). The grid spans the two angles that move the objective,
+    grid_n points each: the rows cos a b0 - e^{ic} sin a b1 and
+    sin a b0 + e^{ic} cos a b1, with a in [0, pi/2) and c in [0, 2 pi). A
+    phase on a whole output row moves none of its |amplitude|^2."""
+    a = 0.5 * math.pi * np.arange(grid_n)[:, None, None] / grid_n
+    ec = np.exp(2j * math.pi * np.arange(grid_n) / grid_n)[:, None]
+    b0, b1 = np.array([b00, b01]), np.array([b10, b11])
+    c, s = np.cos(a), np.sin(a)
+    q = np.abs(np.stack([c * b0 - ec * s * b1, s * b0 + ec * c * b1], axis=-2)) ** 2
+    # -sum q ln q + p ln p = sum q ln(p / q); a vanishing q adds its limit, 0.
+    p = q.sum(axis=-1, keepdims=True)
+    val = (q * np.log(p / np.maximum(q, 1e-300))).sum(axis=(-2, -1))
+    return float(val.min()) / LN2
 
 
 # --------------------------------------------------------------------------

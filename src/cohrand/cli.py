@@ -9,6 +9,7 @@ failed computation, reported as one JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -211,7 +212,9 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; parse_args fills a fresh namespace each call."""
     parser = argparse.ArgumentParser(prog="cohrand")
     sub = parser.add_subparsers(dest="command", required=True)
 

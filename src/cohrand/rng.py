@@ -83,6 +83,8 @@ def toeplitz_extract(stream: OutcomeStream, rate: float, seed: int):
         raise RateOutOfRange(f"rate must be in (0, 1], got {rate}")
     bits = np.ascontiguousarray(stream.symbols, dtype=np.uint8)
     in_len = len(bits)
+    if in_len == 0:
+        raise ValueError("empty stream")
     out_len = int(math.floor(in_len * rate))
     rng = np.random.default_rng(seed)
     diag = rng.integers(0, 2, size=out_len + in_len - 1, dtype=np.uint8)
@@ -103,7 +105,8 @@ def pipeline_compare(
     Path B: distill first, then measure the maximally coherent copies.
 
     Both paths consume n_groups * group_n copies of psi; the comparison
-    reports certified output lengths and monobit statistics.
+    reports each path's output length in bits and its monobit statistic;
+    path A's is the rate target times its input, not an epsilon-secure length.
     """
     if psi.dim != 2:
         raise ValueError("pipeline comparison is defined for qubit sources")

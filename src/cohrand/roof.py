@@ -117,11 +117,11 @@ def optimize_roof(rho: DensityMatrix, config: RoofConfig = RoofConfig()) -> Roof
     if m < r:
         raise ValueError(f"ensemble size {m} < support rank {r}")
     tol_nats = config.tolerance * _kernels.LN2
-    w0 = np.empty((config.restarts, m, r), dtype=complex)
+    g = np.empty((config.restarts, m, r), dtype=complex)
     for i, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.restarts)):
         rng = np.random.default_rng(child)
-        g = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
-        w0[i], _ = np.linalg.qr(g)
+        g[i] = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
+    w0, _ = np.linalg.qr(g)
     _, w_best, converged = _kernels.roof_descent(bt, w0, config.max_iterations, tol_nats)
     decomp = decomposition_from_isometry(rho, w_best)
     return RoofResult(roof_objective(decomp), decomp, converged, config.restarts)
@@ -144,15 +144,10 @@ def regularized_roof_estimate(
 
 def brute_force_roof_qubit(rho: DensityMatrix, grid_n: int) -> float:
     """Independent oracle: exhaustive grid over 2x2 mixing unitaries
-    (three angles, grid_n points each) applied to the eigendecomposition."""
+    (two angles, grid_n points each) applied to the eigendecomposition."""
     if rho.dim != 2:
         raise DimensionNot2(f"brute-force oracle needs d=2, got d={rho.dim}")
     lam, vec = _support_eigendecomposition(rho)
     if lam.shape[0] == 1:
         return r_pure(PureState(vec[:, 0]))
-    bt = (vec * np.sqrt(lam)).T
-    return float(
-        _kernels.qubit_grid_min(
-            complex(bt[0, 0]), complex(bt[0, 1]), complex(bt[1, 0]), complex(bt[1, 1]), grid_n
-        )
-    )
+    return _kernels.qubit_grid_min(*(vec * np.sqrt(lam)).T.ravel(), grid_n)

@@ -15,6 +15,7 @@ from cohrand import (
     pure_state,
     random_density,
 )
+from cohrand import cli
 from cohrand.cli import _emit, build_parser, main
 from cohrand.errors import NotFinite, NotPSD
 from cohrand.stateio import load_state, load_stream, save_state, save_stream
@@ -215,6 +216,24 @@ class TestCli:
         args = build_parser().parse_args(["roof", "x.json"])
         for field in dataclasses.fields(RoofConfig):
             assert getattr(args, field.name) == getattr(RoofConfig(), field.name), field.name
+
+    def test_parser_is_built_once_and_keeps_no_values(self, density_file, capsys, monkeypatch):
+        # One parser serves every call in a process: a seed given to one
+        # call must not carry over to the next, and a usage error after a
+        # successful call still exits 2.
+        assert build_parser() is build_parser()
+        configs = []
+        optimize = cli.optimize_roof
+        monkeypatch.setattr(cli, "optimize_roof", lambda rho, c: configs.append(c) or optimize(rho, c))
+        assert main(["roof", density_file, "--seed", "5", "--restarts", "2"]) == 0
+        assert main(["roof", density_file]) == 0
+        assert configs == [RoofConfig(restarts=2, seed=5), RoofConfig()]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["roof", density_file, "--restarts", "0"])
+        assert exc.value.code == 2
+        assert "--restarts" in capsys.readouterr().err
+        assert main(["measures", density_file]) == 0
 
     def test_roof(self, tmp_path, capsys):
         path = tmp_path / "rho.json"

@@ -137,6 +137,17 @@ class TestRoofDescent:
         A = _kernels._roof_gradient(w @ bt)
         assert 0.5 * np.sum(np.abs(A) ** 2) > 1e-22
 
+    def test_stays_an_isometry_to_max_iterations(self):
+        # Each accepted step multiplies W by U diag(phase) U^dag, applied
+        # as two products. A d = 4 product of qubits that runs its whole
+        # budget of them still returns an isometry. A zero tolerance
+        # switches the stall stop off.
+        a, b = (random_density(2, 2, seed=s) for s in (10, 11))
+        bt = support_rows(DensityMatrix(np.kron(a.mat, b.mat)))
+        value, w, converged = _kernels.roof_descent(bt, self.random_stack(4, 4, 11), 300, 0.0)
+        assert not converged
+        assert np.max(np.abs(w.conj().T @ w - np.eye(4))) < 1e-12
+
     @pytest.mark.parametrize("d,seed,max_iter", [(2, 41, 40), (3, 40, 75)])
     def test_restarts_stay_independent_on_max_iter(self, d, seed, max_iter):
         # A budget between the restarts' own iteration counts (31-47 at
@@ -201,6 +212,22 @@ class TestQubitGrid:
         fine = _kernels.qubit_grid_min(b[0, 0], b[0, 1], b[1, 0], b[1, 1], 96)
         assert exact - 1e-9 <= fine <= coarse
         assert fine == pytest.approx(exact, abs=1e-3)
+
+    def test_two_angles_reach_the_three_angle_minimum(self):
+        # A third angle, a phase b on the whole second output row, moves no
+        # |amplitude|^2, so the full three-angle grid has the same minimum.
+        b = support_rows(random_density(2, 2, 7))
+        n = 16
+        a = 0.5 * math.pi * np.arange(n)[:, None, None] / n
+        eb = np.exp(2j * math.pi * np.arange(n) / n)[:, None]
+        ec = np.exp(2j * math.pi * np.arange(n) / n)
+        total = 0.0
+        for u0, u1 in ((np.cos(a), -ec * np.sin(a)), (eb * np.sin(a), eb * ec * np.cos(a))):
+            q = [np.abs(u0 * b[0, k] + u1 * b[1, k]) ** 2 for k in (0, 1)]
+            total = total - sum(x * np.log(x) for x in q) + sum(q) * np.log(sum(q))
+        assert total.shape == (n, n, n)
+        grid = _kernels.qubit_grid_min(b[0, 0], b[0, 1], b[1, 0], b[1, 1], n)
+        assert grid == pytest.approx(total.min() / math.log(2.0), abs=1e-12)
 
 
 class TestToeplitzBackends:

@@ -113,6 +113,12 @@ class TestToeplitzExtract:
         with pytest.raises(RateOutOfRange):
             toeplitz_extract(stream, 1.5, seed=0)
 
+    def test_empty_stream_is_a_named_error(self):
+        # The error empirical_entropy raises, not numpy's "negative
+        # dimensions are not allowed" from drawing the Toeplitz diagonal.
+        with pytest.raises(ValueError, match="empty stream"):
+            toeplitz_extract(OutcomeStream(np.array([], dtype=np.int64), 2, 0), 0.5, seed=0)
+
     def test_binary_only(self):
         stream = OutcomeStream(np.zeros(100, dtype=np.int64), 3, 0)
         with pytest.raises(ValueError):

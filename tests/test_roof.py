@@ -8,6 +8,7 @@ import pytest
 
 from cohrand import (
     RoofConfig,
+    _kernels,
     brute_force_roof_qubit,
     c_rel_ent,
     decomposition_from_isometry,
@@ -100,6 +101,27 @@ class TestOptimizeRoof:
         a = optimize_roof(rho, RoofConfig(restarts=4, seed=5))
         b = optimize_roof(rho, RoofConfig(restarts=4, seed=5))
         assert a.value == b.value
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_starts_are_each_restarts_own_qr(self, d, monkeypatch):
+        # The restarts' Gaussians go through one stacked QR. Each start must
+        # equal, bit for bit, the QR of its own seeded Gaussian alone, at
+        # (m, r) = (4, 2), (9, 3) and (16, 4).
+        starts = []
+
+        def descent(bt, w0, max_iter, tol_nats):
+            starts.append(w0)
+            return 0.0, w0[0], True
+
+        monkeypatch.setattr(_kernels, "roof_descent", descent)
+        m = d * d
+        for seed in range(50):
+            optimize_roof(random_density(d, d, seed=seed), RoofConfig(seed=seed))
+            assert starts[-1].shape == (16, m, d)
+            for w, child in zip(starts[-1], np.random.SeedSequence(seed).spawn(16)):
+                rng = np.random.default_rng(child)
+                g = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+                assert np.array_equal(w, np.linalg.qr(g)[0])
 
     def test_ensemble_size_below_rank_rejected(self):
         rho = random_density(3, 3, seed=22)
