@@ -131,22 +131,37 @@ def is_incoherent_kraus_set(ks: KrausSet) -> bool:
     return bool(_incoherent_mask(_kraus_stack(ks))[0])
 
 
-def random_incoherent_kraus(d: int, n_ops: int, seed: int) -> KrausSet:
-    """Random incoherent channel: operator n places column j's weight on a
+def random_incoherent_kraus_sets(d: int, n_ops: int, seeds) -> np.ndarray:
+    """Random incoherent channels as an (N, n_ops, d, d) stack, set j drawn
+    from ``default_rng(seeds[j])``: operator n places column j's weight on a
     random target row, with per-operator rows chosen by a random
     permutation so the completeness sum stays exactly diagonal; columns are
-    then rescaled to make the set trace preserving. The operators come as
-    one (n_ops, d, d) array."""
+    then rescaled to make the set trace preserving.
+
+    Per seed, the Python loop only draws the Gaussian weights, real parts
+    first, and one permutation per operator; the scaling and the placement
+    into the operators run once for the stack."""
     if n_ops < 1:
         raise ValueError("n_ops must be >= 1")
-    rng = np.random.default_rng(seed)
-    weights = rng.standard_normal((n_ops, d)) + 1j * rng.standard_normal((n_ops, d))
-    scale = np.sqrt(np.sum(np.abs(weights) ** 2, axis=0))
-    # One permutation per operator, drawn as n_ops successive permutation(d) calls would.
-    rows = rng.permuted(np.broadcast_to(np.arange(d), (n_ops, d)), axis=1)
-    ops = np.zeros((n_ops, d, d), dtype=complex)
-    ops[np.arange(n_ops)[:, None], rows, np.arange(d)] = weights / scale
-    return KrausSet(ops)
+    g = np.empty((len(seeds), 2, n_ops, d))
+    rows = np.empty((len(seeds), n_ops, d), dtype=int)
+    identity_rows = np.broadcast_to(np.arange(d), (n_ops, d))
+    for j, s in enumerate(seeds):
+        rng = np.random.default_rng(s)
+        rng.standard_normal(out=g[j])
+        # One permutation per operator, drawn as n_ops successive permutation(d) calls would.
+        rows[j] = rng.permuted(identity_rows, axis=1)
+    weights = g[:, 0] + 1j * g[:, 1]
+    scale = np.sqrt(np.sum(np.abs(weights) ** 2, axis=1, keepdims=True))
+    # Operator n of set s holds column c's weight in row rows[s, n, c].
+    placed = rows[..., None, :] == np.arange(d)[:, None]
+    return np.where(placed, (weights / scale)[..., None, :], 0)
+
+
+def random_incoherent_kraus(d: int, n_ops: int, seed: int) -> KrausSet:
+    """Random incoherent channel: :func:`random_incoherent_kraus_sets` of a
+    stack of one. The operators come as one (n_ops, d, d) array."""
+    return KrausSet(random_incoherent_kraus_sets(d, n_ops, [seed])[0])
 
 
 def dephasing_kraus(d: int) -> KrausSet:

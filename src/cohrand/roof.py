@@ -20,7 +20,7 @@ import numpy as np
 from . import _kernels
 from .errors import DimensionNot2, NotIsometry, RankMismatch, TooLarge
 from .measures import r_pure
-from .states import DensityMatrix, PureState
+from .states import DensityMatrix, PureState, entropy_bits
 
 RANK_THRESHOLD = 1e-10
 ELEMENT_DROP_THRESHOLD = 1e-12
@@ -93,7 +93,9 @@ def decomposition_from_isometry(rho: DensityMatrix, W: np.ndarray) -> Decomposit
 
 def roof_objective(decomp: Decomposition) -> float:
     """Ensemble average of the pure-state randomness, in bits."""
-    return float(sum(p * r_pure(psi) for p, psi in decomp.elements))
+    p = np.array([p for p, _ in decomp.elements])
+    q = np.abs([psi.amps for _, psi in decomp.elements]) ** 2
+    return float(p @ entropy_bits(q / q.sum(axis=1, keepdims=True)))
 
 
 def optimize_roof(rho: DensityMatrix, config: RoofConfig = RoofConfig()) -> RoofResult:

@@ -199,11 +199,30 @@ def haar_random_pure(d: int, seed: int) -> PureState:
     return PureState(v / np.linalg.norm(v))
 
 
+def random_densities(d: int, ranks, seeds) -> np.ndarray:
+    """Ginibre-style random density matrices, normalized G G^dag, as an
+    (N, d, d) stack over paired `ranks` and `seeds`: matrix j has rank
+    ``ranks[j]``, and its d x rank Gaussian G comes from
+    ``default_rng(seeds[j])``, real part first.
+
+    The Python loop only seeds a generator and fills a preallocated block;
+    G G^dag and the trace normalisation run once per rank."""
+    ranks, seeds = np.broadcast_arrays(np.asarray(ranks, dtype=int), seeds)
+    if not ((ranks >= 1) & (ranks <= d)).all():
+        raise ValueError(f"rank must be in [1, {d}], got {ranks[(ranks < 1) | (ranks > d)][0]}")
+    out = np.empty((len(seeds), d, d), dtype=complex)
+    for rank in range(1, d + 1):
+        pos = np.flatnonzero(ranks == rank)
+        g = np.empty((len(pos), 2, d, rank))
+        for j, p in enumerate(pos.tolist()):
+            np.random.default_rng(seeds[p]).standard_normal(out=g[j])
+        g = g[:, 0] + 1j * g[:, 1]
+        m = g @ g.conj().swapaxes(1, 2)
+        out[pos] = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+    return out
+
+
 def random_density(d: int, rank: int, seed: int) -> DensityMatrix:
-    """Ginibre-style random density matrix: normalized G G^dag."""
-    if not 1 <= rank <= d:
-        raise ValueError(f"rank must be in [1, {d}], got {rank}")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real)
+    """Ginibre-style random density matrix: :func:`random_densities` of a
+    stack of one."""
+    return DensityMatrix(random_densities(d, [rank], [seed])[0])

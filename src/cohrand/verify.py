@@ -25,10 +25,10 @@ from .channels import (
     convexity_slacks,
     exact_measure_values,
     monotonicity_slacks,
-    random_incoherent_kraus,
+    random_incoherent_kraus_sets,
 )
 from .measures import MeasureId, c_l1_values, r_qubit_analytic_values
-from .states import random_density
+from .states import random_densities
 
 DEFAULT_MEASURES = (MeasureId.REL_ENT, MeasureId.L1, MeasureId.QUBIT_ANALYTIC)
 SLACK_TOL = 1e-9
@@ -54,16 +54,6 @@ def _groups(dims: dict, key):
         group = members[k]
         idx = np.array(sorted(group))
         yield k, idx, list(dict.fromkeys(m for i in idx for m in group[i]))
-
-
-def _stack(idx, shape, draw) -> np.ndarray:
-    """The complex stack of ``draw(i)`` over the sample indices `idx`,
-    filled one draw at a time, so that no per-sample array outlives its
-    copy into the stack."""
-    out = np.empty((len(idx), *shape), dtype=complex)
-    for j, i in enumerate(idx):
-        out[j] = draw(i)
-    return out
 
 
 def _witness(measure, i, d, state_seed, channel_seed=None) -> dict:
@@ -127,11 +117,13 @@ def check_vanishing_on_incoherent(
     return _report(PropertyId.C1, slacks, witness, SLACK_TOL)
 
 
-def check_strict_positivity(samples: int = 1000, seed: int = 0) -> PropertyReport:
-    """C1': nonzero qubit coherence implies nonzero randomness."""
-    mats = _stack(
-        range(samples), (2, 2), lambda i: random_density(2, 2 if i % 2 else 1, seed + i).mat
-    )
+def _qubit_states(samples: int, seed: int) -> np.ndarray:
+    """C1''s states: state i is ``random_density(2, 1 + i % 2, seed + i)``."""
+    i = np.arange(samples)
+    return random_densities(2, 1 + i % 2, seed + i)
+
+
+def _strict_positivity(mats: np.ndarray, seed: int) -> PropertyReport:
     coherent = c_l1_values(mats) > 1e-3
     slacks = np.where(coherent, 1e-6 - r_qubit_analytic_values(mats), -np.inf)
 
@@ -139,6 +131,11 @@ def check_strict_positivity(samples: int = 1000, seed: int = 0) -> PropertyRepor
         return _witness(MeasureId.QUBIT_ANALYTIC, i, 2, seed + i)
 
     return _report(PropertyId.C1_STRICT, slacks, witness, 0.0)
+
+
+def check_strict_positivity(samples: int = 1000, seed: int = 0) -> PropertyReport:
+    """C1': nonzero qubit coherence implies nonzero randomness."""
+    return _strict_positivity(_qubit_states(samples, seed), seed)
 
 
 def check_monotonicity_sweep(
@@ -152,10 +149,8 @@ def check_monotonicity_sweep(
     slack_a = {m: np.empty(samples) for m in dims}
     slack_b = {m: np.empty(samples) for m in dims}
     for (d, k), idx, group_measures in _groups(dims, lambda i, d: (d, 1 + i % 4)):
-        rhos = _stack(idx, (d, d), lambda i: random_density(d, 1 + i % d, seed + 7919 * i).mat)
-        kraus = _stack(
-            idx, (k, d, d), lambda i: random_incoherent_kraus(d, k, seed + 104729 * i + 1).operators
-        )
+        rhos = random_densities(d, 1 + idx % d, seed + 7919 * idx)
+        kraus = random_incoherent_kraus_sets(d, k, seed + 104729 * idx + 1)
         for measure, (a, b) in monotonicity_slacks(group_measures, rhos, kraus).items():
             use = dims[measure][idx] == d
             slack_a[measure][idx[use]] = a[use]
@@ -170,24 +165,23 @@ def check_monotonicity_sweep(
     )
 
 
-def check_convexity_sweep(
-    measures=DEFAULT_MEASURES, samples: int = 500, seed: int = 0, max_dim: int = 6
-) -> PropertyReport:
-    """C3 over seeded equal-weight two-state mixtures: sample i mixes
-    ``random_density(d, 1 + i % d, seed + 2 i)`` and
-    ``random_density(d, 1 + (i + 1) % d, seed + 2 i + 1)``."""
+def _convexity(measures, samples: int, seed: int, max_dim: int, qubits) -> PropertyReport:
+    """C3 as :func:`check_convexity_sweep` runs it. A qubit state that is
+    also row o of `qubits`, C1''s states for the same seed, is taken from
+    there rather than drawn again."""
     measures = tuple(measures)
     dims = {m: _dims(m, max_dim, samples) for m in measures}
     slacks = {m: np.empty(samples) for m in dims}
     for d, idx, group_measures in _groups(dims, lambda i, d: d):
-        pairs = _stack(
-            idx,
-            (2, d, d),
-            lambda i: (
-                random_density(d, 1 + i % d, seed + 2 * i).mat,
-                random_density(d, 1 + (i + 1) % d, seed + 2 * i + 1).mat,
-            ),
-        )
+        # Pair member b of sample i is state o = 2 i + b, of seed `seed + o`.
+        offsets = (2 * idx[:, None] + np.arange(2)).ravel()
+        ranks = 1 + (offsets // 2 + offsets % 2) % d
+        shared = (d == 2) & (offsets < len(qubits)) & (ranks == 1 + offsets % 2)
+        pairs = np.empty((len(offsets), d, d), dtype=complex)
+        pairs[~shared] = random_densities(d, ranks[~shared], seed + offsets[~shared])
+        if shared.any():
+            pairs[shared] = qubits[offsets[shared]]
+        pairs = pairs.reshape(len(idx), 2, d, d)
         for measure, s in convexity_slacks(group_measures, (0.5, 0.5), pairs).items():
             use = dims[measure][idx] == d
             slacks[measure][idx[use]] = s[use]
@@ -198,12 +192,22 @@ def check_convexity_sweep(
     return _report(PropertyId.C3, *_measure_major(measures, slacks, witness), SLACK_TOL)
 
 
+def check_convexity_sweep(
+    measures=DEFAULT_MEASURES, samples: int = 500, seed: int = 0, max_dim: int = 6
+) -> PropertyReport:
+    """C3 over seeded equal-weight two-state mixtures: sample i mixes
+    ``random_density(d, 1 + i % d, seed + 2 i)`` and
+    ``random_density(d, 1 + (i + 1) % d, seed + 2 i + 1)``."""
+    return _convexity(measures, samples, seed, max_dim, np.empty((0, 2, 2), dtype=complex))
+
+
 def run_property_suite(
     measures=DEFAULT_MEASURES, samples: int = 1000, seed: int = 0, max_dim: int = 6
 ):
     """Full C1 / C1' / C2a / C2b / C3 sweep; returns one report each."""
+    qubits = _qubit_states(samples, seed)
     c1 = check_vanishing_on_incoherent(measures, samples, seed, max_dim)
-    c1s = check_strict_positivity(samples, seed)
+    c1s = _strict_positivity(qubits, seed)
     c2a, c2b = check_monotonicity_sweep(measures, samples, seed, max_dim)
-    c3 = check_convexity_sweep(measures, max(samples // 2, 1), seed, max_dim)
+    c3 = _convexity(measures, max(samples // 2, 1), seed, max_dim, qubits)
     return [c1, c1s, c2a, c2b, c3]

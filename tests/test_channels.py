@@ -19,7 +19,11 @@ from cohrand import (
     random_incoherent_kraus,
     random_density,
 )
-from cohrand.channels import exact_measure_value, monotonicity_slacks
+from cohrand.channels import (
+    exact_measure_value,
+    monotonicity_slacks,
+    random_incoherent_kraus_sets,
+)
 from cohrand.errors import DimensionMismatch, NonExactMeasure, NotAPartition
 from cohrand.states import DensityMatrix
 
@@ -50,6 +54,31 @@ class TestIncoherenceCheck:
         ks = random_incoherent_kraus(4, 3, seed=7)
         acc = sum(op.conj().T @ op for op in ks.operators)
         assert np.max(np.abs(acc - np.eye(4))) < 1e-14
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    @pytest.mark.parametrize("n_ops", range(1, 5))
+    def test_stacked_draws_are_the_per_seed_formula(self, d, n_ops):
+        seeds = 1000 * d + 100 * n_ops + np.arange(50)
+        stack = random_incoherent_kraus_sets(d, n_ops, seeds)
+        assert stack.shape == (50, n_ops, d, d)
+        for ops, seed in zip(stack, seeds.tolist()):
+            rng = np.random.default_rng(seed)
+            weights = rng.standard_normal((n_ops, d)) + 1j * rng.standard_normal((n_ops, d))
+            scale = np.sqrt(np.sum(np.abs(weights) ** 2, axis=0))
+            rows = rng.permuted(np.broadcast_to(np.arange(d), (n_ops, d)), axis=1)
+            expected = np.zeros((n_ops, d, d), dtype=complex)
+            expected[np.arange(n_ops)[:, None], rows, np.arange(d)] = weights / scale
+            assert np.array_equal(ops, expected)
+            assert np.array_equal(random_incoherent_kraus(d, n_ops, seed).operators, expected)
+
+    def test_empty_stack(self):
+        assert random_incoherent_kraus_sets(3, 2, []).shape == (0, 2, 3, 3)
+
+    def test_at_least_one_operator(self):
+        with pytest.raises(ValueError, match="n_ops must be >= 1"):
+            random_incoherent_kraus(3, 0, seed=0)
+        with pytest.raises(ValueError, match="n_ops must be >= 1"):
+            random_incoherent_kraus_sets(3, 0, [0, 1])
 
     def test_mismatched_dims_rejected(self):
         ks = KrausSet([np.eye(2, dtype=complex), np.eye(3, dtype=complex)])

@@ -32,10 +32,13 @@ def _relative_imports(tree: ast.Module) -> set:
     return out
 
 
-def _scipy_modules_after(code: str) -> str:
-    """The scipy modules loaded after running code in a fresh interpreter:
-    this test process may have loaded scipy already."""
-    code += "; import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def _modules_after(code: str, package: str) -> str:
+    """The modules of `package` (a dotted name) loaded after running code in
+    a fresh interpreter: this test process may have loaded them already."""
+    code += (
+        f"; import sys; print(sorted(m for m in sys.modules"
+        f" if m == {package!r} or m.startswith({package + '.'!r})))"
+    )
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run(
@@ -45,7 +48,7 @@ def _scipy_modules_after(code: str) -> str:
 
 
 def test_cli_import_loads_no_scipy():
-    assert _scipy_modules_after("import cohrand.cli") == "[]"
+    assert _modules_after("import cohrand.cli", "scipy") == "[]"
 
 
 def test_pipeline_call_loads_no_scipy(tmp_path):
@@ -53,7 +56,14 @@ def test_pipeline_call_loads_no_scipy(tmp_path):
     path = tmp_path / "psi.json"
     save_state(cohrand.pure_state([0.8, 0.6]), path)
     argv = ["pipeline", str(path), "--groups", "20", "--group-n", "50"]
-    assert _scipy_modules_after(f"import cohrand.cli; cohrand.cli.main({argv!r})") == "[]"
+    assert _modules_after(f"import cohrand.cli; cohrand.cli.main({argv!r})", "scipy") == "[]"
+
+
+def test_verify_call_loads_no_numpy_ma():
+    # np.unique imports numpy.ma, which costs the property suite memory.
+    argv = ["verify", "--samples", "20"]
+    code = f"import cohrand.cli; cohrand.cli.main({argv!r})"
+    assert _modules_after(code, "numpy.ma") == "[]"
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from cohrand import (
     von_neumann_entropy,
 )
 from cohrand.errors import DimensionNot2, NotFinite, NotHermitian, NotPSD, TraceNotOne
-from cohrand.states import validate_densities
+from cohrand.states import random_densities, validate_densities
 
 
 class TestValidateDensity:
@@ -181,13 +181,39 @@ class TestRandomStates:
         assert np.sum(lam > 1e-10) == 2
 
     def test_random_density_rank_bounds(self):
-        with pytest.raises(ValueError):
-            random_density(3, 4, seed=0)
+        for rank in (0, 4):
+            with pytest.raises(ValueError, match=r"rank must be in \[1, 3\], got"):
+                random_density(3, rank, seed=0)
+            with pytest.raises(ValueError, match=r"rank must be in \[1, 3\], got"):
+                random_densities(3, [2, rank], [0, 1])
 
     def test_seed_determinism(self):
         a = random_density(3, 3, seed=9)
         b = random_density(3, 3, seed=9)
         assert np.array_equal(a.mat, b.mat)
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_stacked_draws_are_the_per_seed_formula(self, d):
+        # Ranks cycle through 1..d, so one stack mixes every rank and is
+        # split by rank inside; 50 seeds per rank.
+        seeds = 1000 * d + np.arange(50 * d)
+        ranks = 1 + seeds % d
+        stack = random_densities(d, ranks, seeds)
+        assert stack.shape == (50 * d, d, d)
+        for rho, rank, seed in zip(stack, ranks.tolist(), seeds.tolist()):
+            rng = np.random.default_rng(seed)
+            g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+            m = g @ g.conj().T
+            expected = m / np.trace(m).real
+            assert np.array_equal(rho, expected)
+            assert np.array_equal(random_density(d, rank, seed).mat, expected)
+
+    def test_empty_stack(self):
+        assert random_densities(3, [], []).shape == (0, 3, 3)
+
+    def test_one_rank_per_seed(self):
+        with pytest.raises(ValueError, match="broadcast"):
+            random_densities(3, [1, 2], [0, 1, 2])
 
     def test_haar_random_pure_unit_norm(self):
         psi = haar_random_pure(6, 3)

@@ -19,7 +19,7 @@ from cohrand import (
 )
 from cohrand.channels import exact_measure_value
 from cohrand.cli import main
-from cohrand.states import DensityMatrix
+from cohrand.states import DensityMatrix, random_densities
 
 QUBIT_ONLY = (MeasureId.QUBIT_ANALYTIC, MeasureId.ROOF_RANDOMNESS)
 WITNESS_KEYS = {"measure", "property", "sample_index", "dim", "state_seed", "channel_seed"}
@@ -145,3 +145,27 @@ def test_shared_pairs_match_single_measure_runs(monkeypatch):
     alone = [suite_slacks(monkeypatch, (m,), **kwargs)[1] for m in measures]
     for k in (2, 3, 4):  # C2a, C2b, C3 scan measure after measure
         assert np.array_equal(together[k], np.concatenate([slacks[k] for slacks in alone]))
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3, 40])
+def test_suite_c3_is_the_standalone_sweep(samples, monkeypatch):
+    # The suite hands C3 the C1' states it shares; the report, witness
+    # included, must be the one the C3 sweep draws for itself.
+    monkeypatch.setattr(verify, "SLACK_TOL", -1.0)
+    measures = list(MeasureId)
+    c3 = run_property_suite(measures, samples=samples, seed=4, max_dim=5)[4]
+    assert c3 == verify.check_convexity_sweep(measures, max(samples // 2, 1), 4, 5)
+
+
+def test_suite_draws_shared_qubit_states_once(monkeypatch):
+    drawn = []
+
+    def spy(d, ranks, seeds):
+        drawn.append(len(seeds))
+        return random_densities(d, ranks, seeds)
+
+    monkeypatch.setattr(verify, "random_densities", spy)
+    run_property_suite(samples=1000, seed=1)
+    # C1' 1000, C2 1800 and C3 1800 states, less C3's 250 qubit pairs
+    # (2, 1, seed + 2i), (2, 2, seed + 2i + 1) for even i: C1' states 2i, 2i + 1.
+    assert sum(drawn) == 4600 - 500
