@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonExactMeasure, NotAPartition
 from .measures import MeasureId, c_l1_values, c_rel_ent_values, r_qubit_analytic_values
-from .states import DensityMatrix, validate_densities
+from .states import DensityMatrix, _seeded_generators, validate_densities
 
 COLUMN_ZERO_THRESHOLD = 1e-12
 TRACE_PRESERVATION_TOL = 1e-10
@@ -138,16 +138,17 @@ def random_incoherent_kraus_sets(d: int, n_ops: int, seeds) -> np.ndarray:
     permutation so the completeness sum stays exactly diagonal; columns are
     then rescaled to make the set trace preserving.
 
-    Per seed, the Python loop only draws the Gaussian weights, real parts
-    first, and one permutation per operator; the scaling and the placement
-    into the operators run once for the stack."""
+    The seeds are hashed in one pass (:func:`~cohrand.states._seeded_generators`);
+    per seed, the Python loop only builds a generator and draws the
+    Gaussian weights, real parts first, and one permutation per operator;
+    the scaling and the placement into the operators run once for the
+    stack."""
     if n_ops < 1:
         raise ValueError("n_ops must be >= 1")
     g = np.empty((len(seeds), 2, n_ops, d))
     rows = np.empty((len(seeds), n_ops, d), dtype=int)
     identity_rows = np.broadcast_to(np.arange(d), (n_ops, d))
-    for j, s in enumerate(seeds):
-        rng = np.random.default_rng(s)
+    for j, rng in enumerate(_seeded_generators(seeds)):
         rng.standard_normal(out=g[j])
         # One permutation per operator, drawn as n_ops successive permutation(d) calls would.
         rows[j] = rng.permuted(identity_rows, axis=1)

@@ -9,6 +9,7 @@ share between threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,23 +200,99 @@ def haar_random_pure(d: int, seed: int) -> PureState:
     return PureState(v / np.linalg.norm(v))
 
 
+def _hash_constants(init: int, mult: int, steps: int) -> np.ndarray:
+    """The running constant of a SeedSequence hash, before and after each of
+    `steps` hash steps, as a (steps + 1, 1) uint32 column."""
+    consts = [init]
+    for _ in range(steps):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx). Its hash
+# constants step the same way whatever the seed, so they are fixed: 16
+# hashmix steps mix a 4-word pool, and 8 output steps read it.
+_HASHMIX = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_OUTPUT = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """One hash step on each row of `words`, row k with the constants
+    before and after step k: xor, multiply, fold the high half down."""
+    words = (words ^ consts[:-1]) * consts[1:]
+    return words ^ (words >> 16)
+
+
+@functools.cache
+def _fixed_state():
+    """A seed sequence type whose state is the words it was built with: the
+    4 uint64 words, C-contiguous, that PCG64 reads its seed from. It is
+    made on first use, so that importing the package loads no
+    numpy.random."""
+
+    class FixedState(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return FixedState
+
+
+def _seeded_generators(seeds):
+    """A Generator per seed, each in the state ``default_rng(seed)`` gives
+    it, for seeds in [0, 2^64).
+
+    ``default_rng`` seeds PCG64 with ``SeedSequence(seed).generate_state(4,
+    np.uint64)``, a fixed uint32 hash of the seed's 32-bit words. Here that
+    hash runs once, over all seeds as arrays, and PCG64 seeds itself from
+    each row of words."""
+    seeds = np.asarray(seeds)
+    if seeds.size and (seeds.dtype.kind not in "iu" or seeds.min() < 0):
+        raise ValueError("expected non-negative integer")
+    seeds = seeds.astype(np.uint64)
+    # The entropy is the seed's low and high words, zero-padded to the
+    # pool's 4 words: SeedSequence mixes in hashmix(0) past its end.
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0] = seeds
+    pool[1] = seeds >> np.uint64(32)
+    pool = _hash(pool, _HASHMIX[:5])
+    # Each word is hashed into the other three, in order, one step each.
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        step = 4 + 3 * src
+        mixed = pool[dst] * _MIX_MULT_L - _hash(pool[src], _HASHMIX[step : step + 4]) * _MIX_MULT_R
+        pool[dst] = mixed ^ (mixed >> 16)
+    # generate_state(4, np.uint64): 8 words that cycle through the pool,
+    # read in pairs as little-endian uint64.
+    words = _hash(np.tile(pool, (2, 1)), _OUTPUT).astype(np.uint64)
+    state = (words[0::2] | words[1::2] << np.uint64(32)).T.copy()
+    fixed = _fixed_state()
+    return (np.random.Generator(np.random.PCG64(fixed(row))) for row in state)
+
+
 def random_densities(d: int, ranks, seeds) -> np.ndarray:
     """Ginibre-style random density matrices, normalized G G^dag, as an
     (N, d, d) stack over paired `ranks` and `seeds`: matrix j has rank
     ``ranks[j]``, and its d x rank Gaussian G comes from
     ``default_rng(seeds[j])``, real part first.
 
-    The Python loop only seeds a generator and fills a preallocated block;
+    The seeds are hashed in one pass (:func:`_seeded_generators`); the
+    Python loop only builds a generator and fills a preallocated block;
     G G^dag and the trace normalisation run once per rank."""
     ranks, seeds = np.broadcast_arrays(np.asarray(ranks, dtype=int), seeds)
     if not ((ranks >= 1) & (ranks <= d)).all():
         raise ValueError(f"rank must be in [1, {d}], got {ranks[(ranks < 1) | (ranks > d)][0]}")
     out = np.empty((len(seeds), d, d), dtype=complex)
+    # One generator per seed, in rank order: rank 1's seeds first.
+    rngs = _seeded_generators(seeds[np.argsort(ranks, kind="stable")])
     for rank in range(1, d + 1):
         pos = np.flatnonzero(ranks == rank)
         g = np.empty((len(pos), 2, d, rank))
-        for j, p in enumerate(pos.tolist()):
-            np.random.default_rng(seeds[p]).standard_normal(out=g[j])
+        for block in g:
+            next(rngs).standard_normal(out=block)
         g = g[:, 0] + 1j * g[:, 1]
         m = g @ g.conj().swapaxes(1, 2)
         out[pos] = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]

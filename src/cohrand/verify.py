@@ -204,7 +204,13 @@ def check_convexity_sweep(
 def run_property_suite(
     measures=DEFAULT_MEASURES, samples: int = 1000, seed: int = 0, max_dim: int = 6
 ):
-    """Full C1 / C1' / C2a / C2b / C3 sweep; returns one report each."""
+    """Full C1 / C1' / C2a / C2b / C3 sweep; returns one report each.
+
+    Every sample seed must lie in [0, 2^63), numpy's int64 range; the
+    largest is C2's last channel seed, ``seed + 104729 (samples - 1) + 1``."""
+    top = 2**63 - 2 - 104729 * (samples - 1)
+    if not 0 <= seed <= top:
+        raise ValueError(f"seed must be in [0, {top}] for {samples} samples, got {seed}")
     qubits = _qubit_states(samples, seed)
     c1 = check_vanishing_on_incoherent(measures, samples, seed, max_dim)
     c1s = _strict_positivity(qubits, seed)

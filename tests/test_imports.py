@@ -66,6 +66,15 @@ def test_verify_call_loads_no_numpy_ma():
     assert _modules_after(code, "numpy.ma") == "[]"
 
 
+def test_measures_call_loads_no_numpy_random(tmp_path):
+    # The seeded draws build their seed sequence type on first use, so a
+    # command that draws nothing does not pay numpy.random's import.
+    path = tmp_path / "rho.json"
+    save_state(cohrand.random_density(2, 2, 3), path)
+    code = f"import cohrand.cli; cohrand.cli.main({['measures', str(path)]!r})"
+    assert _modules_after(code, "numpy.random") == "[]"
+
+
 @pytest.mark.parametrize(
     "module, forbidden",
     [

@@ -21,7 +21,7 @@ from cohrand import (
     von_neumann_entropy,
 )
 from cohrand.errors import DimensionNot2, NotFinite, NotHermitian, NotPSD, TraceNotOne
-from cohrand.states import random_densities, validate_densities
+from cohrand.states import _seeded_generators, random_densities, validate_densities
 
 
 class TestValidateDensity:
@@ -218,6 +218,39 @@ class TestRandomStates:
     def test_haar_random_pure_unit_norm(self):
         psi = haar_random_pure(6, 3)
         assert np.isclose(np.sum(np.abs(psi.amps) ** 2), 1.0)
+
+
+class TestSeededGenerators:
+    EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+
+    def seeds(self):
+        random = np.random.default_rng(20261018).integers(0, 2**63, 1000, dtype=np.uint64)
+        return np.concatenate([np.array(self.EDGE_SEEDS, dtype=np.uint64), random])
+
+    def test_words_are_seed_sequence_state(self):
+        seeds = self.seeds()
+        for seed, rng in zip(seeds.tolist(), _seeded_generators(seeds), strict=True):
+            expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            assert np.array_equal(rng.bit_generator.seed_seq.generate_state(4, np.uint64), expected)
+
+    def test_generators_draw_as_default_rng(self):
+        seeds = self.seeds()
+        for seed, rng in zip(seeds.tolist(), _seeded_generators(seeds), strict=True):
+            reference = np.random.default_rng(seed)
+            assert rng.bit_generator.state == reference.bit_generator.state
+            assert np.array_equal(rng.standard_normal(3), reference.standard_normal(3))
+            assert np.array_equal(rng.permutation(5), reference.permutation(5))
+
+    def test_empty_stack(self):
+        assert list(_seeded_generators([])) == []
+        assert list(_seeded_generators(np.array([], dtype=np.int64))) == []
+
+    @pytest.mark.parametrize("seeds", [[-1], [3, -1], np.array([-5]), [2**64], [2**70], [2.0]])
+    def test_rejects_seeds_outside_uint64(self, seeds):
+        # A cast to uint64 would wrap the negative and oversized seeds
+        # without a word; a float is no seed.
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            _seeded_generators(seeds)
 
 
 class TestDephase:

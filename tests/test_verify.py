@@ -19,6 +19,7 @@ from cohrand import (
 )
 from cohrand.channels import exact_measure_value
 from cohrand.cli import main
+from cohrand import channels, states
 from cohrand.states import DensityMatrix, random_densities
 
 QUBIT_ONLY = (MeasureId.QUBIT_ANALYTIC, MeasureId.ROOF_RANDOMNESS)
@@ -169,3 +170,40 @@ def test_suite_draws_shared_qubit_states_once(monkeypatch):
     # C1' 1000, C2 1800 and C3 1800 states, less C3's 250 qubit pairs
     # (2, 1, seed + 2i), (2, 2, seed + 2i + 1) for even i: C1' states 2i, 2i + 1.
     assert sum(drawn) == 4600 - 500
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**32])
+def test_suite_is_the_one_default_rng_gives(seed, monkeypatch):
+    # The one-pass seed hash must leave every drawn bit as default_rng's.
+    measures = list(MeasureId)
+    hashed = run_property_suite(measures, samples=200, seed=seed)
+    drawn = {states: 0, channels: 0}
+    for module in drawn:
+
+        def default_generators(seeds, module=module):
+            drawn[module] += len(seeds)
+            return (np.random.default_rng(int(s)) for s in seeds)
+
+        monkeypatch.setattr(module, "_seeded_generators", default_generators)
+    assert run_property_suite(measures, samples=200, seed=seed) == hashed
+    # Both draws went through the patch: C2 draws a channel per state.
+    assert drawn[states] > drawn[channels] > 200
+
+
+@pytest.mark.parametrize("seed", [-1, 9223372036854775000, 10**20])
+def test_cli_rejects_seeds_past_int64(seed, capsys):
+    assert main(["verify", "--seed", str(seed)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "ValueError" and error["command"] == "verify"
+    assert "seed must be in [0, 9223372036750151535] for 1000 samples" in error["message"]
+
+
+def test_largest_seed_reaches_the_int64_edge():
+    # C2's last channel seed, seed + 104729 (samples - 1) + 1, is 2^63 - 1.
+    top = 2**63 - 2 - 104729 * 2
+    run_property_suite(samples=3, seed=top)
+    with pytest.raises(ValueError, match=r"seed must be in \[0, "):
+        run_property_suite(samples=3, seed=top + 1)
