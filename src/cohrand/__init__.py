@@ -4,7 +4,6 @@ randomness-extraction pipeline."""
 
 from .channels import (
     KrausSet,
-    MonotonicityCheck,
     PropertyId,
     PropertyReport,
     SelectiveOutcome,
@@ -12,8 +11,6 @@ from .channels import (
     apply_selective,
     check_convexity,
     check_monotonicity,
-    dephasing_kraus,
-    identity_kraus,
     is_incoherent_kraus_set,
     projection_partition_kraus,
     random_incoherent_kraus,
@@ -41,7 +38,6 @@ from .measures import (
 from .rng import (
     ExtractionReport,
     PipelineComparison,
-    empirical_entropy,
     min_entropy,
     monobit_z,
     pipeline_compare,
@@ -64,14 +60,12 @@ from .states import (
     PureState,
     basis_state,
     bloch_to_density,
-    dephase,
     density_to_bloch,
     haar_random_pure,
     maximally_coherent_state,
     pure_state,
     random_density,
     shannon_entropy,
-    tensor,
     validate_density,
     von_neumann_entropy,
 )

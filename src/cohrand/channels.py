@@ -41,10 +41,6 @@ class PropertyId(str, Enum):
 class KrausSet:
     operators: Sequence  # d x d complex ndarrays: a list, or a (k, d, d) array
 
-    @property
-    def dim(self) -> int:
-        return self.operators[0].shape[0]
-
 
 @dataclass(frozen=True)
 class SelectiveOutcome:
@@ -58,16 +54,6 @@ class PropertyReport:
     passed: bool
     worst_slack: float
     witness: Optional[object] = None
-
-
-@dataclass(frozen=True)
-class MonotonicityCheck:
-    c2a: PropertyReport
-    c2b: PropertyReport
-
-    @property
-    def passed(self) -> bool:
-        return self.c2a.passed and self.c2b.passed
 
 
 def exact_measure_values(measure: MeasureId, mats: np.ndarray) -> np.ndarray:
@@ -165,14 +151,6 @@ def random_incoherent_kraus(d: int, n_ops: int, seed: int) -> KrausSet:
     return KrausSet(random_incoherent_kraus_sets(d, n_ops, [seed])[0])
 
 
-def dephasing_kraus(d: int) -> KrausSet:
-    return KrausSet([np.diag(np.eye(d, dtype=complex)[i]) for i in range(d)])
-
-
-def identity_kraus(d: int) -> KrausSet:
-    return KrausSet([np.eye(d, dtype=complex)])
-
-
 def _channel_terms(mats: np.ndarray, kraus: np.ndarray) -> np.ndarray:
     """K_n rho K_n^dag for every state and operator: (N, k, d, d)."""
     return kraus @ mats[:, None] @ kraus.conj().swapaxes(-1, -2)
@@ -240,15 +218,14 @@ def monotonicity_slacks(measures, mats: np.ndarray, kraus: np.ndarray) -> dict:
     return slacks
 
 
-def check_monotonicity(
-    measure: MeasureId, rho: DensityMatrix, ks: KrausSet, tol: float = 1e-9
-) -> MonotonicityCheck:
-    """Slack of C2a (non-selective) and C2b (selective average) for an
-    incoherent channel. Positive slack means a violation."""
+def check_monotonicity(measure: MeasureId, rho: DensityMatrix, ks: KrausSet, tol: float = 1e-9):
+    """The reports (C2a, C2b) of the slacks of C2a (non-selective) and C2b
+    (selective average) for an incoherent channel. Positive slack means a
+    violation."""
     ((slack_a, slack_b),) = monotonicity_slacks((measure,), *_state_and_kraus(rho, ks)).values()
     slack_a, slack_b = float(slack_a[0]), float(slack_b[0])
     witness = None if max(slack_a, slack_b) <= tol else (rho, ks)
-    return MonotonicityCheck(
+    return (
         PropertyReport(PropertyId.C2A, slack_a <= tol, slack_a, witness),
         PropertyReport(PropertyId.C2B, slack_b <= tol, slack_b, witness),
     )

@@ -106,14 +106,15 @@ def _cmd_roof(args) -> int:
         seed=args.seed,
     )
     result = optimize_roof(rho, config)
+    decomp = result.best_decomposition
     _emit(
         {
             "value": result.value,
             "converged": result.converged,
             "restarts_used": result.restarts_used,
             "decomposition": [
-                {"p": p, "state": pure_to_dict(psi)}
-                for p, psi in result.best_decomposition.elements
+                {"p": float(p), "state": pure_to_dict(PureState(row))}
+                for p, row in zip(decomp.weights, decomp.states)
             ],
         }
     )

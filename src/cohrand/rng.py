@@ -1,4 +1,4 @@
-"""Measurement sampling, empirical entropy, and a seeded Toeplitz extractor.
+"""Measurement sampling and a seeded Toeplitz extractor.
 
 Demonstrates, at desk scale, that extracting classical randomness after
 measuring matches distilling the state first and measuring maximally
@@ -58,14 +58,6 @@ def sample_measurement(psi: PureState, n: int, seed: int) -> OutcomeStream:
     rng = np.random.default_rng(seed)
     symbols = np.searchsorted(cdf, rng.random(n), side="right")
     return OutcomeStream(symbols.astype(np.int64), psi.dim, seed)
-
-
-def empirical_entropy(stream: OutcomeStream) -> float:
-    """Plug-in Shannon entropy of the symbol frequencies, bits/symbol."""
-    if len(stream.symbols) == 0:
-        raise ValueError("empty stream")
-    counts = np.bincount(stream.symbols, minlength=stream.source_dim)
-    return shannon_entropy(counts / counts.sum())
 
 
 def min_entropy(p) -> float:

@@ -11,7 +11,6 @@ independent qubit oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,16 +27,14 @@ ELEMENT_DROP_THRESHOLD = 1e-12
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Weighted pure-state ensemble mixing to a target density matrix."""
+    """Weighted pure-state ensemble mixing to a target density matrix:
+    ``weights[e]`` is p_e and row e of ``states`` is the unit vector psi_e."""
 
-    elements: list  # list of (p_e, PureState)
-    target_dim: int
+    weights: np.ndarray  # (m,)
+    states: np.ndarray  # (m, d) complex
 
     def mixture(self) -> np.ndarray:
-        acc = np.zeros((self.target_dim, self.target_dim), dtype=complex)
-        for p, psi in self.elements:
-            acc += p * np.outer(psi.amps, psi.amps.conj())
-        return acc
+        return (self.weights[:, None] * self.states).T @ self.states.conj()
 
 
 @dataclass(frozen=True)
@@ -78,13 +75,9 @@ def decomposition_from_isometry(rho: DensityMatrix, W: np.ndarray) -> Decomposit
         raise NotIsometry(f"max |W^dag W - I| = {dev:.3e} > 1e-10")
     bt = (vec * np.sqrt(lam)).T  # row j = sqrt(lam_j) v_j
     unnormalized = W @ bt
-    elements = []
-    for row in unnormalized:
-        p = float(np.sum(np.abs(row) ** 2))
-        if p < ELEMENT_DROP_THRESHOLD:
-            continue
-        elements.append((p, PureState(row / math.sqrt(p))))
-    decomp = Decomposition(elements, rho.dim)
+    p = np.sum(np.abs(unnormalized) ** 2, axis=1)
+    keep = p >= ELEMENT_DROP_THRESHOLD
+    decomp = Decomposition(p[keep], unnormalized[keep] / np.sqrt(p[keep])[:, None])
     recon_dev = float(np.max(np.abs(decomp.mixture() - rho.mat)))
     if recon_dev > 1e-8:  # pragma: no cover - construction guarantees this
         raise NotIsometry(f"ensemble reconstructs rho only to {recon_dev:.3e}")
@@ -93,9 +86,8 @@ def decomposition_from_isometry(rho: DensityMatrix, W: np.ndarray) -> Decomposit
 
 def roof_objective(decomp: Decomposition) -> float:
     """Ensemble average of the pure-state randomness, in bits."""
-    p = np.array([p for p, _ in decomp.elements])
-    q = np.abs([psi.amps for _, psi in decomp.elements]) ** 2
-    return float(p @ entropy_bits(q / q.sum(axis=1, keepdims=True)))
+    q = np.abs(decomp.states) ** 2
+    return float(decomp.weights @ entropy_bits(q / q.sum(axis=1, keepdims=True)))
 
 
 def optimize_roof(rho: DensityMatrix, config: RoofConfig = RoofConfig()) -> RoofResult:

@@ -75,16 +75,15 @@ def _pairs(values: np.ndarray):
     return [[float(v.real), float(v.imag)] for v in values]
 
 
-def density_to_dict(rho: DensityMatrix) -> dict:
-    return {"dim": rho.dim, "entries": _pairs(rho.mat.ravel())}
-
-
 def pure_to_dict(psi: PureState) -> dict:
     return {"dim": psi.dim, "amplitudes": _pairs(psi.amps)}
 
 
 def save_state(state: Union[DensityMatrix, PureState], path) -> None:
-    data = density_to_dict(state) if isinstance(state, DensityMatrix) else pure_to_dict(state)
+    if isinstance(state, DensityMatrix):
+        data = {"dim": state.dim, "entries": _pairs(state.mat.ravel())}
+    else:
+        data = pure_to_dict(state)
     Path(path).write_text(json.dumps(data))
 
 

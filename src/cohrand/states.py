@@ -1,6 +1,6 @@
 """Core quantum state types: density matrices, pure states, measurement
-outcome streams, entropies, dephasing, Bloch-sphere conversions and seeded
-random-state generation.
+outcome streams, entropies, Bloch-sphere conversions and seeded random-state
+generation.
 
 All entropies are in bits (log base 2). Every operation here is a pure
 function of its inputs plus an explicit seed; returned objects are safe to
@@ -132,15 +132,6 @@ def maximally_coherent_state(d: int) -> PureState:
     return PureState(np.full(d, 1.0 / np.sqrt(d), dtype=complex))
 
 
-def tensor(a: PureState, b: PureState) -> PureState:
-    return PureState(np.kron(a.amps, b.amps))
-
-
-def dephase(rho: DensityMatrix) -> DensityMatrix:
-    """Zero all off-diagonal entries in the computational basis."""
-    return DensityMatrix(np.diag(np.diag(rho.mat)))
-
-
 def entropy_bits(lam: np.ndarray) -> np.ndarray:
     """-sum lambda log2 lambda over the last axis, in bits, counting only
     lambda > 0: eigenvalues at or below 0 are finite-precision PSD drift.
@@ -241,6 +232,17 @@ def _fixed_state():
     return FixedState
 
 
+def _seed_array(seeds) -> np.ndarray:
+    """`seeds` as an array. numpy stores a list that mixes ints below 2^63
+    with ints from 2^63 up as float64, so such a list, when its ints all lie
+    in [0, 2^64), is read as uint64 instead."""
+    arr = np.asarray(seeds)
+    if arr.dtype.kind == "f" and isinstance(seeds, list):
+        if all(type(s) is int and 0 <= s < 2**64 for s in seeds):
+            return np.array(seeds, dtype=np.uint64)
+    return arr
+
+
 def _seeded_generators(seeds):
     """A Generator per seed, each in the state ``default_rng(seed)`` gives
     it, for seeds in [0, 2^64).
@@ -249,7 +251,7 @@ def _seeded_generators(seeds):
     np.uint64)``, a fixed uint32 hash of the seed's 32-bit words. Here that
     hash runs once, over all seeds as arrays, and PCG64 seeds itself from
     each row of words."""
-    seeds = np.asarray(seeds)
+    seeds = _seed_array(seeds)
     if seeds.size and (seeds.dtype.kind not in "iu" or seeds.min() < 0):
         raise ValueError("expected non-negative integer")
     seeds = seeds.astype(np.uint64)
@@ -282,7 +284,7 @@ def random_densities(d: int, ranks, seeds) -> np.ndarray:
     The seeds are hashed in one pass (:func:`_seeded_generators`); the
     Python loop only builds a generator and fills a preallocated block;
     G G^dag and the trace normalisation run once per rank."""
-    ranks, seeds = np.broadcast_arrays(np.asarray(ranks, dtype=int), seeds)
+    ranks, seeds = np.broadcast_arrays(np.asarray(ranks, dtype=int), _seed_array(seeds))
     if not ((ranks >= 1) & (ranks <= d)).all():
         raise ValueError(f"rank must be in [1, {d}], got {ranks[(ranks < 1) | (ranks > d)][0]}")
     out = np.empty((len(seeds), d, d), dtype=complex)

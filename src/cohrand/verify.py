@@ -117,6 +117,14 @@ def check_vanishing_on_incoherent(
     return _report(PropertyId.C1, slacks, witness, SLACK_TOL)
 
 
+def _check_seed(seed: int, samples: int, span: int) -> None:
+    """Every sample seed, up to ``seed + span``, must lie in [0, 2^63),
+    numpy's int64 range."""
+    top = 2**63 - 1 - span
+    if not 0 <= seed <= top:
+        raise ValueError(f"seed must be in [0, {top}] for {samples} samples, got {seed}")
+
+
 def _qubit_states(samples: int, seed: int) -> np.ndarray:
     """C1''s states: state i is ``random_density(2, 1 + i % 2, seed + i)``."""
     i = np.arange(samples)
@@ -134,7 +142,9 @@ def _strict_positivity(mats: np.ndarray, seed: int) -> PropertyReport:
 
 
 def check_strict_positivity(samples: int = 1000, seed: int = 0) -> PropertyReport:
-    """C1': nonzero qubit coherence implies nonzero randomness."""
+    """C1': nonzero qubit coherence implies nonzero randomness. The largest
+    sample seed is ``seed + samples - 1``."""
+    _check_seed(seed, samples, samples - 1)
     return _strict_positivity(_qubit_states(samples, seed), seed)
 
 
@@ -144,6 +154,7 @@ def check_monotonicity_sweep(
     """C2a/C2b over seeded (state, incoherent channel) pairs: sample i pairs
     ``random_density(d, 1 + i % d, seed + 7919 i)`` with
     ``random_incoherent_kraus(d, 1 + i % 4, seed + 104729 i + 1)``."""
+    _check_seed(seed, samples, 104729 * (samples - 1) + 1)
     measures = tuple(measures)
     dims = {m: _dims(m, max_dim, samples) for m in measures}
     slack_a = {m: np.empty(samples) for m in dims}
@@ -198,6 +209,7 @@ def check_convexity_sweep(
     """C3 over seeded equal-weight two-state mixtures: sample i mixes
     ``random_density(d, 1 + i % d, seed + 2 i)`` and
     ``random_density(d, 1 + (i + 1) % d, seed + 2 i + 1)``."""
+    _check_seed(seed, samples, 2 * samples - 1)
     return _convexity(measures, samples, seed, max_dim, np.empty((0, 2, 2), dtype=complex))
 
 
@@ -208,9 +220,7 @@ def run_property_suite(
 
     Every sample seed must lie in [0, 2^63), numpy's int64 range; the
     largest is C2's last channel seed, ``seed + 104729 (samples - 1) + 1``."""
-    top = 2**63 - 2 - 104729 * (samples - 1)
-    if not 0 <= seed <= top:
-        raise ValueError(f"seed must be in [0, {top}] for {samples} samples, got {seed}")
+    _check_seed(seed, samples, 104729 * (samples - 1) + 1)
     qubits = _qubit_states(samples, seed)
     c1 = check_vanishing_on_incoherent(measures, samples, seed, max_dim)
     c1s = _strict_positivity(qubits, seed)

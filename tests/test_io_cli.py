@@ -236,12 +236,24 @@ class TestCli:
         assert main(["measures", density_file]) == 0
 
     def test_roof(self, tmp_path, capsys):
-        path = tmp_path / "rho.json"
-        save_state(random_density(2, 2, seed=1), path)
-        assert main(["roof", str(path), "--restarts", "4"]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert 0.0 <= out["value"] <= 1.0
-        assert out["decomposition"]
+        # The printed ensemble is a decomposition of rho whose average
+        # entropy is the printed value.
+        for d in (2, 3):
+            rho = random_density(d, d, seed=1)
+            path = tmp_path / f"rho{d}.json"
+            save_state(rho, path)
+            assert main(["roof", str(path), "--restarts", "4"]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert 0.0 <= out["value"] <= math.log2(d)
+            ensemble = out["decomposition"]
+            p = np.array([el["p"] for el in ensemble])
+            psi = np.array([[a + 1j * b for a, b in el["state"]["amplitudes"]] for el in ensemble])
+            assert p.sum() == pytest.approx(1.0, abs=1e-12)
+            mixed = (p[:, None] * psi).T @ psi.conj()
+            assert np.max(np.abs(mixed - rho.mat)) < 1e-8
+            q = np.abs(psi) ** 2
+            entropies = [-sum(x * math.log2(x) for x in row if x > 0) for row in q]
+            assert p @ entropies == pytest.approx(out["value"], abs=1e-12)
 
     @pytest.mark.parametrize("flag,value", ROOF_ARGS_OUT_OF_RANGE)
     def test_roof_argument_out_of_range(self, flag, value, capsys):

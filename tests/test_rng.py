@@ -7,7 +7,6 @@ import pytest
 
 from cohrand import (
     OutcomeStream,
-    empirical_entropy,
     maximally_coherent_state,
     min_entropy,
     monobit_z,
@@ -54,17 +53,9 @@ class TestSampling:
 
 
 class TestEntropies:
-    def test_empirical_entropy_near_one_for_fair_source(self):
-        stream = sample_measurement(maximally_coherent_state(2), 50_000, seed=3)
-        assert empirical_entropy(stream) == pytest.approx(1.0, abs=0.01)
-
     def test_min_entropy(self):
         assert min_entropy([0.5, 0.5]) == pytest.approx(1.0)
         assert min_entropy([0.25, 0.75]) == pytest.approx(-math.log2(0.75))
-
-    def test_empty_stream_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_entropy(OutcomeStream(np.array([], dtype=np.int64), 2, 0))
 
 
 class TestToeplitzExtract:
@@ -114,8 +105,8 @@ class TestToeplitzExtract:
             toeplitz_extract(stream, 1.5, seed=0)
 
     def test_empty_stream_is_a_named_error(self):
-        # The error empirical_entropy raises, not numpy's "negative
-        # dimensions are not allowed" from drawing the Toeplitz diagonal.
+        # A named error, not numpy's "negative dimensions are not allowed"
+        # from drawing the Toeplitz diagonal.
         with pytest.raises(ValueError, match="empty stream"):
             toeplitz_extract(OutcomeStream(np.array([], dtype=np.int64), 2, 0), 0.5, seed=0)
 

@@ -23,15 +23,15 @@ from cohrand import (
     roof_objective,
 )
 from cohrand.errors import DimensionNot2, NotIsometry, RankMismatch, TooLarge
-from cohrand.states import DensityMatrix
+from cohrand.states import DensityMatrix, PureState
 
 
 class TestDecompositionFromIsometry:
     def test_identity_isometry_recovers_eigendecomposition(self):
         rho = random_density(3, 3, seed=1)
         decomp = decomposition_from_isometry(rho, np.eye(3, dtype=complex))
-        assert len(decomp.elements) == 3
-        assert sum(p for p, _ in decomp.elements) == pytest.approx(1.0, abs=1e-12)
+        assert decomp.weights.shape == (3,) and decomp.states.shape == (3, 3)
+        assert sum(decomp.weights) == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(decomp.mixture() - rho.mat)) < 1e-10
 
     def test_larger_ensembles_still_mix_back(self):
@@ -41,6 +41,16 @@ class TestDecompositionFromIsometry:
         ).standard_normal((5, 2))
         w, _ = np.linalg.qr(g)
         decomp = decomposition_from_isometry(rho, w)
+        assert np.max(np.abs(decomp.mixture() - rho.mat)) < 1e-10
+
+    def test_zero_row_is_dropped(self):
+        # W (m > r) may send an ensemble element to weight 0; it is not kept.
+        rho = random_density(3, 2, seed=2)
+        w = np.zeros((3, 2), dtype=complex)
+        w[0, 0] = w[2, 1] = 1.0
+        decomp = decomposition_from_isometry(rho, w)
+        assert decomp.weights.shape == (2,) and decomp.states.shape == (2, 3)
+        assert np.allclose(np.sum(np.abs(decomp.states) ** 2, axis=1), 1.0)
         assert np.max(np.abs(decomp.mixture() - rho.mat)) < 1e-10
 
     def test_rejects_non_isometry(self):
@@ -58,7 +68,7 @@ class TestRoofObjective:
     def test_matches_weighted_pure_randomness(self):
         rho = random_density(2, 2, seed=5)
         decomp = decomposition_from_isometry(rho, np.eye(2, dtype=complex))
-        expected = sum(p * r_pure(psi) for p, psi in decomp.elements)
+        expected = sum(p * r_pure(PureState(row)) for p, row in zip(decomp.weights, decomp.states))
         assert roof_objective(decomp) == pytest.approx(expected)
 
 

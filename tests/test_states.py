@@ -7,16 +7,16 @@ import pytest
 
 from cohrand import (
     DensityMatrix,
+    apply_channel,
     basis_state,
     bloch_to_density,
-    dephase,
     density_to_bloch,
     haar_random_pure,
     maximally_coherent_state,
+    projection_partition_kraus,
     pure_state,
     random_density,
     shannon_entropy,
-    tensor,
     validate_density,
     von_neumann_entropy,
 )
@@ -117,10 +117,6 @@ class TestPureState:
     def test_maximally_coherent(self):
         psi = maximally_coherent_state(4)
         assert np.allclose(psi.probabilities(), 0.25)
-
-    def test_tensor(self):
-        ab = tensor(basis_state(2, 1), basis_state(2, 0))
-        assert np.allclose(ab.amps, [0, 0, 1, 0])
 
 
 class TestEntropies:
@@ -245,16 +241,29 @@ class TestSeededGenerators:
         assert list(_seeded_generators([])) == []
         assert list(_seeded_generators(np.array([], dtype=np.int64))) == []
 
-    @pytest.mark.parametrize("seeds", [[-1], [3, -1], np.array([-5]), [2**64], [2**70], [2.0]])
+    def test_reads_a_list_mixing_seeds_below_and_from_2_63(self):
+        # numpy stores [0, 2**63] as float64; the list's ints are still seeds.
+        mats = random_densities(2, [1, 1], [0, 2**63])
+        assert np.array_equal(mats[0], random_density(2, 1, 0).mat)
+        assert np.array_equal(mats[1], random_density(2, 1, 2**63).mat)
+
+    @pytest.mark.parametrize(
+        "seeds",
+        [[-1], [3, -1], np.array([-5]), [2**64], [2**70], [2.0]]
+        + [[-1, 2**63], [0, 2**63, 2**64], [0.0, 2**63], np.array([0, 2**63], dtype=float)],
+    )
     def test_rejects_seeds_outside_uint64(self, seeds):
         # A cast to uint64 would wrap the negative and oversized seeds
         # without a word; a float is no seed.
         with pytest.raises(ValueError, match="^expected non-negative integer$"):
             _seeded_generators(seeds)
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            random_densities(2, 1, seeds)
 
 
 class TestDephase:
     def test_removes_off_diagonals(self):
+        # Dephasing is the channel of the basis-state projectors.
         rho = maximally_coherent_state(3).projector()
-        d = dephase(rho)
+        d = apply_channel(rho, projection_partition_kraus([[0], [1], [2]]))
         assert np.allclose(d.mat, np.eye(3) / 3)

@@ -44,9 +44,9 @@ def serial_slacks(measure, samples, seed, max_dim):
         d = dims[i % len(dims)]
         rho = random_density(d, 1 + i % d, seed + 7919 * i)
         ks = random_incoherent_kraus(d, 1 + i % 4, seed + 104729 * i + 1)
-        check = check_monotonicity(measure, rho, ks)
-        c2a.append(check.c2a.worst_slack)
-        c2b.append(check.c2b.worst_slack)
+        a, b = check_monotonicity(measure, rho, ks)
+        c2a.append(a.worst_slack)
+        c2b.append(b.worst_slack)
     c3 = []
     for i in range(max(samples // 2, 1)):
         d = dims[i % len(dims)]
@@ -111,8 +111,8 @@ def test_witness_rebuilds_the_reported_pair(monkeypatch):
         d, i = w["dim"], w["sample_index"]
         rho = random_density(d, 1 + i % d, w["state_seed"])
         ks = random_incoherent_kraus(d, 1 + i % 4, w["channel_seed"])
-        check = check_monotonicity(MeasureId(w["measure"]), rho, ks)
-        rebuilt = check.c2a if report is c2a else check.c2b
+        a, b = check_monotonicity(MeasureId(w["measure"]), rho, ks)
+        rebuilt = a if report is c2a else b
         assert rebuilt.worst_slack == report.worst_slack
     w = c3.witness
     d, i = w["dim"], w["sample_index"]
@@ -199,6 +199,25 @@ def test_cli_rejects_seeds_past_int64(seed, capsys):
     error = json.loads(line)
     assert error["error"] == "ValueError" and error["command"] == "verify"
     assert "seed must be in [0, 9223372036750151535] for 1000 samples" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "sweep, largest",
+    [
+        (verify.check_strict_positivity, lambda n: n - 1),
+        (verify.check_monotonicity_sweep, lambda n: 104729 * (n - 1) + 1),
+        (verify.check_convexity_sweep, lambda n: 2 * n - 1),
+    ],
+    ids=["C1'", "C2", "C3"],
+)
+def test_sweeps_name_their_seed_range(sweep, largest):
+    # The largest sample seed, seed + largest(samples), is 2^63 - 1 at top.
+    top = 2**63 - 1 - largest(3)
+    sweep(samples=3, seed=top)
+    for seed in (-1, 10**20, top + 1):
+        message = rf"^seed must be in \[0, {top}\] for 3 samples, got {seed}$"
+        with pytest.raises(ValueError, match=message):
+            sweep(samples=3, seed=seed)
 
 
 def test_largest_seed_reaches_the_int64_edge():
