@@ -232,9 +232,16 @@ def toeplitz_gf2(diag_bits: np.ndarray, x_bits: np.ndarray, out_len: int) -> np.
     x_bits = np.ascontiguousarray(x_bits, dtype=np.uint8)
     in_len = len(x_bits)
     n = _fast_len(len(diag_bits))
-    conv = np.fft.irfft(np.fft.rfft(diag_bits, n) * np.fft.rfft(x_bits, n), n)
+    # The longer operand's spectrum becomes the product, so at most two
+    # spectra are alive whether or not numpy elides the temporary, and it
+    # is freed before the drift check.
+    spec = np.fft.rfft(diag_bits, n)
+    spec *= np.fft.rfft(x_bits, n)
+    conv = np.fft.irfft(spec, n)
+    del spec
     seg = conv[in_len - 1 : in_len - 1 + out_len]
     rounded = np.rint(seg)
-    if np.max(np.abs(seg - rounded)) > 0.1:  # pragma: no cover
+    seg -= rounded
+    if np.abs(seg, out=seg).max() > 0.1:  # pragma: no cover
         raise FloatingPointError("FFT convolution drifted from integer values")
     return (rounded.astype(np.int64) & 1).astype(np.uint8)

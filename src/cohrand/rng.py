@@ -57,7 +57,7 @@ def sample_measurement(psi: PureState, n: int, seed: int) -> OutcomeStream:
     cdf[-1] = 1.0
     rng = np.random.default_rng(seed)
     symbols = np.searchsorted(cdf, rng.random(n), side="right")
-    return OutcomeStream(symbols.astype(np.int64), psi.dim, seed)
+    return OutcomeStream(symbols.astype(np.int64, copy=False), psi.dim, seed)
 
 
 def min_entropy(p) -> float:
@@ -117,7 +117,9 @@ def pipeline_compare(
 
     if rate > 0.0:
         raw = sample_measurement(psi, n_total, int(seed_sample))
-        extracted, report_a = toeplitz_extract(raw, rate, int(seed_extract))
+        # The hash reads uint8 bits: the int64 samples are not kept through it.
+        raw = OutcomeStream(raw.symbols.astype(np.uint8), 2, raw.seed)
+        _, report_a = toeplitz_extract(raw, rate, int(seed_extract))
         a_bits = report_a.output_length
         z_a = report_a.monobit_z
     else:

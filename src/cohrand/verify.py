@@ -92,6 +92,7 @@ def check_vanishing_on_incoherent(
 
     The states come from one generator, sample by sample and measure by
     measure within a sample, so the witness records the sweep seed."""
+    _check_samples(samples)
     measures = tuple(measures)
     unique = list(dict.fromkeys(measures))
     # Position j = i * len(measures) + m is sample i of measures[m].
@@ -117,9 +118,15 @@ def check_vanishing_on_incoherent(
     return _report(PropertyId.C1, slacks, witness, SLACK_TOL)
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+
+
 def _check_seed(seed: int, samples: int, span: int) -> None:
-    """Every sample seed, up to ``seed + span``, must lie in [0, 2^63),
-    numpy's int64 range."""
+    """There must be a sample, and every sample seed, up to ``seed + span``,
+    must lie in [0, 2^63), numpy's int64 range."""
+    _check_samples(samples)
     top = 2**63 - 1 - span
     if not 0 <= seed <= top:
         raise ValueError(f"seed must be in [0, {top}] for {samples} samples, got {seed}")

@@ -242,9 +242,26 @@ class TestToeplitzBackends:
 
     # (8, 8) and (9, 9) put L = out_len + in_len - 1 at 15, which is 5-smooth,
     # and at 17, one above the 5-smooth 16; (300, 1) has out_len << in_len.
+    # Output lengths 1, in_len - 1, in_len and 3 in_len each come at an odd
+    # FFT length n and an even one: n = 27 and 300, 27 and 32, 15 and 18,
+    # 27 and 36.
     @pytest.mark.parametrize(
         "in_len,out_len",
-        [(10, 4), (64, 64), (100, 63), (257, 129), (8, 8), (9, 9), (1, 1), (300, 1)],
+        [
+            (10, 4),
+            (64, 64),
+            (100, 63),
+            (257, 129),
+            (8, 8),
+            (9, 9),
+            (1, 1),
+            (300, 1),
+            (27, 1),
+            (14, 13),
+            (17, 16),
+            (7, 21),
+            (9, 27),
+        ],
     )
     def test_all_paths_agree(self, in_len, out_len):
         rng = np.random.default_rng(in_len * 1000 + out_len)

@@ -1,6 +1,7 @@
 """Measurement sampling, Toeplitz extraction, and the two-path pipeline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,3 +153,28 @@ class TestPipeline:
             pipeline_compare(
                 maximally_coherent_state(2), n_groups=5, group_n=5, seed=0, entropy_mode="x"
             )
+
+    @pytest.mark.parametrize("p0", [0.6, 0.75, 0.85])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+    def test_path_a_is_the_public_composition(self, p0, seed):
+        # Path A hashes its samples as uint8 bits; it must give what the
+        # public int64 stream gives.
+        psi = pure_state([math.sqrt(p0), math.sqrt(1.0 - p0)])
+        cmp = pipeline_compare(psi, n_groups=20, group_n=500, seed=seed)
+        s_sample, s_extract = np.random.default_rng(seed).integers(0, 2**63, size=4)[:2]
+        raw = sample_measurement(psi, 20 * 500, int(s_sample))
+        _, report = toeplitz_extract(raw, cmp.target_rate, int(s_extract))
+        assert cmp.path_a_bits == report.output_length > 0
+        assert cmp.path_a_monobit_z.hex() == report.monobit_z.hex()
+
+    def test_peak_memory_at_a_million_copies(self):
+        # The numpy-traced peak of one 10^6-copy call is 40.2 MiB; an int64
+        # copy of the samples held through the hash takes it to 47.9.
+        psi = pure_state([math.sqrt(0.6), math.sqrt(0.4)])
+        tracemalloc.start()
+        try:
+            pipeline_compare(psi, n_groups=200, group_n=5000, seed=7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 44 * 2**20, peak / 2**20

@@ -226,3 +226,20 @@ def test_largest_seed_reaches_the_int64_edge():
     run_property_suite(samples=3, seed=top)
     with pytest.raises(ValueError, match=r"seed must be in \[0, "):
         run_property_suite(samples=3, seed=top + 1)
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        verify.check_vanishing_on_incoherent,
+        verify.check_strict_positivity,
+        verify.check_monotonicity_sweep,
+        verify.check_convexity_sweep,
+        run_property_suite,
+    ],
+    ids=["C1", "C1'", "C2", "C3", "suite"],
+)
+def test_sweeps_name_their_sample_count(sweep):
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match=rf"^samples must be at least 1, got {samples}$"):
+            sweep(samples=samples)
