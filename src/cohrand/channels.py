@@ -27,6 +27,7 @@ from .states import DensityMatrix, _seeded_generators, validate_densities
 COLUMN_ZERO_THRESHOLD = 1e-12
 TRACE_PRESERVATION_TOL = 1e-10
 OUTCOME_DROP_THRESHOLD = 1e-12
+SLACK_TOL = 1e-9  # a property slack above this is a violation
 
 
 class PropertyId(str, Enum):
@@ -218,16 +219,16 @@ def monotonicity_slacks(measures, mats: np.ndarray, kraus: np.ndarray) -> dict:
     return slacks
 
 
-def check_monotonicity(measure: MeasureId, rho: DensityMatrix, ks: KrausSet, tol: float = 1e-9):
+def check_monotonicity(measure: MeasureId, rho: DensityMatrix, ks: KrausSet):
     """The reports (C2a, C2b) of the slacks of C2a (non-selective) and C2b
     (selective average) for an incoherent channel. Positive slack means a
     violation."""
     ((slack_a, slack_b),) = monotonicity_slacks((measure,), *_state_and_kraus(rho, ks)).values()
     slack_a, slack_b = float(slack_a[0]), float(slack_b[0])
-    witness = None if max(slack_a, slack_b) <= tol else (rho, ks)
+    witness = None if max(slack_a, slack_b) <= SLACK_TOL else (rho, ks)
     return (
-        PropertyReport(PropertyId.C2A, slack_a <= tol, slack_a, witness),
-        PropertyReport(PropertyId.C2B, slack_b <= tol, slack_b, witness),
+        PropertyReport(PropertyId.C2A, slack_a <= SLACK_TOL, slack_a, witness),
+        PropertyReport(PropertyId.C2B, slack_b <= SLACK_TOL, slack_b, witness),
     )
 
 
@@ -246,14 +247,12 @@ def convexity_slacks(measures, weights, mats: np.ndarray) -> dict:
     }
 
 
-def check_convexity(measure: MeasureId, ensemble, tol: Optional[float] = None) -> PropertyReport:
+def check_convexity(measure: MeasureId, ensemble) -> PropertyReport:
     """Slack of C3: C(sum q_k rho_k) - sum q_k C(rho_k)."""
     qs = np.array([q for q, _ in ensemble], dtype=float)
     if np.any(qs < 0) or abs(qs.sum() - 1.0) > 1e-10:
         raise ValueError("ensemble weights must be a probability distribution")
-    if tol is None:
-        tol = 1e-6 if measure == MeasureId.ROOF_RANDOMNESS else 1e-9
     mats = np.stack([rho.mat for _, rho in ensemble])[None]
     slack = float(convexity_slacks((measure,), qs, mats)[measure][0])
-    witness = None if slack <= tol else ensemble
-    return PropertyReport(PropertyId.C3, slack <= tol, slack, witness)
+    witness = None if slack <= SLACK_TOL else ensemble
+    return PropertyReport(PropertyId.C3, slack <= SLACK_TOL, slack, witness)

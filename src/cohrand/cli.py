@@ -9,6 +9,7 @@ failed computation, reported as one JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -30,7 +31,7 @@ from .measures import (
 from .rng import DEFAULT_RATE_MARGIN, pipeline_compare, sample_measurement
 from .roof import RoofConfig, optimize_roof
 from .stateio import load_state, pure_to_dict, save_stream
-from .states import DEFAULT_TOL, DensityMatrix, PureState, pure_state
+from .states import DensityMatrix, PureState, pure_state
 from .verify import DEFAULT_MEASURES, run_property_suite
 
 
@@ -80,7 +81,7 @@ def _as_density(state) -> DensityMatrix:
 
 
 def _cmd_measures(args) -> int:
-    state = load_state(args.state, tol=args.tol)
+    state = load_state(args.state)
     rho = _as_density(state)
     out = {
         "dim": rho.dim,
@@ -99,7 +100,6 @@ def _cmd_measures(args) -> int:
 def _cmd_roof(args) -> int:
     rho = _as_density(load_state(args.state))
     config = RoofConfig(
-        ensemble_size=args.ensemble_size,
         restarts=args.restarts,
         max_iterations=args.max_iterations,
         tolerance=args.tolerance,
@@ -198,18 +198,7 @@ def _cmd_pipeline(args) -> int:
         margin=args.margin,
         entropy_mode=args.entropy,
     )
-    _emit(
-        {
-            "path_a_bits": cmp.path_a_bits,
-            "path_b_bits": cmp.path_b_bits,
-            "path_a_monobit_z": cmp.path_a_monobit_z,
-            "path_b_monobit_z": cmp.path_b_monobit_z,
-            "relative_difference": cmp.relative_difference,
-            "lengths_agree": cmp.lengths_agree,
-            "target_rate": cmp.target_rate,
-            "distill_yield": cmp.distill_yield,
-        }
-    )
+    _emit(dataclasses.asdict(cmp))
     return 0
 
 
@@ -221,13 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measures", help="print all applicable coherence measures for a state")
     p.add_argument("state")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="validation tolerance")
     p.set_defaults(func=_cmd_measures)
 
     roof = RoofConfig()
     p = sub.add_parser("roof", help="optimize the convex-roof randomness measure")
     p.add_argument("state")
-    p.add_argument("--ensemble-size", type=_positive_int, default=roof.ensemble_size)
     p.add_argument("--restarts", type=_positive_int, default=roof.restarts)
     p.add_argument("--tolerance", type=_positive_float, default=roof.tolerance)
     p.add_argument("--max-iterations", type=_positive_int, default=roof.max_iterations)

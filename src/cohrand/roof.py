@@ -39,7 +39,6 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class RoofConfig:
-    ensemble_size: Optional[int] = None  # default r**2
     restarts: int = 16
     max_iterations: int = 2000
     tolerance: float = 1e-8
@@ -91,7 +90,8 @@ def roof_objective(decomp: Decomposition) -> float:
 
 
 def optimize_roof(rho: DensityMatrix, config: RoofConfig = RoofConfig()) -> RoofResult:
-    """Minimize the roof objective over size-m decompositions.
+    """Minimize the roof objective over m = r^2 element decompositions, the
+    size that always attains a rank-r roof (Uhlmann, OSID 5, 209 (1998)).
 
     Multi-start descent: every restart starts from an isometry drawn with a
     seed derived deterministically from the master seed, all restarts
@@ -107,9 +107,7 @@ def optimize_roof(rho: DensityMatrix, config: RoofConfig = RoofConfig()) -> Roof
     if r == 1:
         decomp = decomposition_from_isometry(rho, np.eye(1, dtype=complex))
         return RoofResult(roof_objective(decomp), decomp, True, 0)
-    m = config.ensemble_size if config.ensemble_size is not None else r * r
-    if m < r:
-        raise ValueError(f"ensemble size {m} < support rank {r}")
+    m = r * r
     tol_nats = config.tolerance * _kernels.LN2
     g = np.empty((config.restarts, m, r), dtype=complex)
     for i, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.restarts)):

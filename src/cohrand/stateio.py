@@ -20,7 +20,6 @@ from typing import Union
 import numpy as np
 
 from .states import (
-    DEFAULT_TOL,
     DensityMatrix,
     OutcomeStream,
     PureState,
@@ -47,7 +46,7 @@ def _dim(data: dict) -> int:
     return dim
 
 
-def load_state(path, tol: float = DEFAULT_TOL) -> Union[DensityMatrix, PureState]:
+def load_state(path) -> Union[DensityMatrix, PureState]:
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ValueError(f"a state file holds a JSON object, got {type(data).__name__}")
@@ -67,7 +66,7 @@ def load_state(path, tol: float = DEFAULT_TOL) -> Union[DensityMatrix, PureState
         flat = _complex_array(data["entries"], "entries")
         if flat.shape[0] != dim * dim:
             raise ValueError(f"expected {dim * dim} entries, got {flat.shape[0]}")
-        return validate_density(flat.reshape(dim, dim), tol=tol)
+        return validate_density(flat.reshape(dim, dim))
     raise ValueError("state file needs one of: entries, amplitudes, bloch")
 
 

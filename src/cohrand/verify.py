@@ -20,6 +20,7 @@ from collections import defaultdict
 import numpy as np
 
 from .channels import (
+    SLACK_TOL,
     PropertyId,
     PropertyReport,
     convexity_slacks,
@@ -31,7 +32,6 @@ from .measures import MeasureId, c_l1_values, r_qubit_analytic_values
 from .states import random_densities
 
 DEFAULT_MEASURES = (MeasureId.REL_ENT, MeasureId.L1, MeasureId.QUBIT_ANALYTIC)
-SLACK_TOL = 1e-9
 
 
 def _dims(measure: MeasureId, max_dim: int, samples: int) -> np.ndarray:
@@ -85,15 +85,11 @@ def _measure_major(measures, slacks: dict, witness):
     return flat, lambda j: witness(measures[j // samples], j % samples)
 
 
-def check_vanishing_on_incoherent(
-    measures=DEFAULT_MEASURES, samples: int = 1000, seed: int = 0, max_dim: int = 6
-) -> PropertyReport:
+def _vanishing(measures, samples: int, seed: int, max_dim: int) -> PropertyReport:
     """C1: every measure is zero (within tolerance) on diagonal states.
 
     The states come from one generator, sample by sample and measure by
-    measure within a sample, so the witness records the sweep seed."""
-    _check_samples(samples)
-    measures = tuple(measures)
+    measure within a sample, so the witness records the suite seed."""
     unique = list(dict.fromkeys(measures))
     # Position j = i * len(measures) + m is sample i of measures[m].
     which = np.tile([unique.index(m) for m in measures], samples)
@@ -118,27 +114,9 @@ def check_vanishing_on_incoherent(
     return _report(PropertyId.C1, slacks, witness, SLACK_TOL)
 
 
-def _check_samples(samples: int) -> None:
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-
-
-def _check_seed(seed: int, samples: int, span: int) -> None:
-    """There must be a sample, and every sample seed, up to ``seed + span``,
-    must lie in [0, 2^63), numpy's int64 range."""
-    _check_samples(samples)
-    top = 2**63 - 1 - span
-    if not 0 <= seed <= top:
-        raise ValueError(f"seed must be in [0, {top}] for {samples} samples, got {seed}")
-
-
-def _qubit_states(samples: int, seed: int) -> np.ndarray:
-    """C1''s states: state i is ``random_density(2, 1 + i % 2, seed + i)``."""
-    i = np.arange(samples)
-    return random_densities(2, 1 + i % 2, seed + i)
-
-
 def _strict_positivity(mats: np.ndarray, seed: int) -> PropertyReport:
+    """C1': nonzero qubit coherence implies nonzero randomness, on the
+    qubit states ``random_density(2, 1 + i % 2, seed + i)``."""
     coherent = c_l1_values(mats) > 1e-3
     slacks = np.where(coherent, 1e-6 - r_qubit_analytic_values(mats), -np.inf)
 
@@ -148,21 +126,10 @@ def _strict_positivity(mats: np.ndarray, seed: int) -> PropertyReport:
     return _report(PropertyId.C1_STRICT, slacks, witness, 0.0)
 
 
-def check_strict_positivity(samples: int = 1000, seed: int = 0) -> PropertyReport:
-    """C1': nonzero qubit coherence implies nonzero randomness. The largest
-    sample seed is ``seed + samples - 1``."""
-    _check_seed(seed, samples, samples - 1)
-    return _strict_positivity(_qubit_states(samples, seed), seed)
-
-
-def check_monotonicity_sweep(
-    measures=DEFAULT_MEASURES, samples: int = 1000, seed: int = 0, max_dim: int = 6
-):
+def _monotonicity(measures, samples: int, seed: int, max_dim: int):
     """C2a/C2b over seeded (state, incoherent channel) pairs: sample i pairs
     ``random_density(d, 1 + i % d, seed + 7919 i)`` with
     ``random_incoherent_kraus(d, 1 + i % 4, seed + 104729 i + 1)``."""
-    _check_seed(seed, samples, 104729 * (samples - 1) + 1)
-    measures = tuple(measures)
     dims = {m: _dims(m, max_dim, samples) for m in measures}
     slack_a = {m: np.empty(samples) for m in dims}
     slack_b = {m: np.empty(samples) for m in dims}
@@ -184,10 +151,11 @@ def check_monotonicity_sweep(
 
 
 def _convexity(measures, samples: int, seed: int, max_dim: int, qubits) -> PropertyReport:
-    """C3 as :func:`check_convexity_sweep` runs it. A qubit state that is
-    also row o of `qubits`, C1''s states for the same seed, is taken from
-    there rather than drawn again."""
-    measures = tuple(measures)
+    """C3 over seeded equal-weight two-state mixtures: sample i mixes
+    ``random_density(d, 1 + i % d, seed + 2 i)`` and
+    ``random_density(d, 1 + (i + 1) % d, seed + 2 i + 1)``. A qubit state
+    that is also row o of `qubits`, C1''s states for the same seed, is
+    taken from there rather than drawn again."""
     dims = {m: _dims(m, max_dim, samples) for m in measures}
     slacks = {m: np.empty(samples) for m in dims}
     for d, idx, group_measures in _groups(dims, lambda i, d: d):
@@ -210,27 +178,24 @@ def _convexity(measures, samples: int, seed: int, max_dim: int, qubits) -> Prope
     return _report(PropertyId.C3, *_measure_major(measures, slacks, witness), SLACK_TOL)
 
 
-def check_convexity_sweep(
-    measures=DEFAULT_MEASURES, samples: int = 500, seed: int = 0, max_dim: int = 6
-) -> PropertyReport:
-    """C3 over seeded equal-weight two-state mixtures: sample i mixes
-    ``random_density(d, 1 + i % d, seed + 2 i)`` and
-    ``random_density(d, 1 + (i + 1) % d, seed + 2 i + 1)``."""
-    _check_seed(seed, samples, 2 * samples - 1)
-    return _convexity(measures, samples, seed, max_dim, np.empty((0, 2, 2), dtype=complex))
-
-
 def run_property_suite(
     measures=DEFAULT_MEASURES, samples: int = 1000, seed: int = 0, max_dim: int = 6
 ):
     """Full C1 / C1' / C2a / C2b / C3 sweep; returns one report each.
 
-    Every sample seed must lie in [0, 2^63), numpy's int64 range; the
-    largest is C2's last channel seed, ``seed + 104729 (samples - 1) + 1``."""
-    _check_seed(seed, samples, 104729 * (samples - 1) + 1)
-    qubits = _qubit_states(samples, seed)
-    c1 = check_vanishing_on_incoherent(measures, samples, seed, max_dim)
+    There must be a sample, and every sample seed must lie in [0, 2^63),
+    numpy's int64 range; the largest is C2's last channel seed,
+    ``seed + 104729 (samples - 1) + 1``."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    top = 2**63 - 2 - 104729 * (samples - 1)
+    if not 0 <= seed <= top:
+        raise ValueError(f"seed must be in [0, {top}] for {samples} samples, got {seed}")
+    measures = tuple(measures)
+    i = np.arange(samples)
+    qubits = random_densities(2, 1 + i % 2, seed + i)
+    c1 = _vanishing(measures, samples, seed, max_dim)
     c1s = _strict_positivity(qubits, seed)
-    c2a, c2b = check_monotonicity_sweep(measures, samples, seed, max_dim)
+    c2a, c2b = _monotonicity(measures, samples, seed, max_dim)
     c3 = _convexity(measures, max(samples // 2, 1), seed, max_dim, qubits)
     return [c1, c1s, c2a, c2b, c3]

@@ -39,7 +39,6 @@ ROOF_ARGS_OUT_OF_RANGE = (
     ("--restarts", "0"),
     ("--restarts", "-2"),
     ("--max-iterations", "0"),
-    ("--ensemble-size", "0"),
     ("--tolerance", "0"),
     ("--tolerance", "-1e-8"),
     ("--tolerance", "nan"),

@@ -133,10 +133,16 @@ class TestOptimizeRoof:
                 g = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
                 assert np.array_equal(w, np.linalg.qr(g)[0])
 
-    def test_ensemble_size_below_rank_rejected(self):
-        rho = random_density(3, 3, seed=22)
-        with pytest.raises(ValueError):
-            optimize_roof(rho, RoofConfig(ensemble_size=2))
+    @pytest.mark.parametrize("d, r", [(3, 1), (3, 2), (3, 3), (4, 4)])
+    def test_ensemble_has_at_most_r_squared_members(self, d, r):
+        # The ensemble size is fixed at r^2; a rank-1 state is its own
+        # one-member ensemble, with no descent run.
+        for seed in (22, 23):
+            result = optimize_roof(random_density(d, r, seed), RoofConfig(restarts=2))
+            members = len(result.best_decomposition.weights)
+            assert members <= r * r
+            if r == 1:
+                assert members == 1 and result.restarts_used == 0
 
     def test_no_restarts_rejected(self):
         # The batched descent needs at least one restart to stack.

@@ -155,7 +155,8 @@ def test_suite_c3_is_the_standalone_sweep(samples, monkeypatch):
     monkeypatch.setattr(verify, "SLACK_TOL", -1.0)
     measures = list(MeasureId)
     c3 = run_property_suite(measures, samples=samples, seed=4, max_dim=5)[4]
-    assert c3 == verify.check_convexity_sweep(measures, max(samples // 2, 1), 4, 5)
+    no_qubits = np.empty((0, 2, 2), dtype=complex)
+    assert c3 == verify._convexity(measures, max(samples // 2, 1), 4, 5, no_qubits)
 
 
 def test_suite_draws_shared_qubit_states_once(monkeypatch):
@@ -201,25 +202,6 @@ def test_cli_rejects_seeds_past_int64(seed, capsys):
     assert "seed must be in [0, 9223372036750151535] for 1000 samples" in error["message"]
 
 
-@pytest.mark.parametrize(
-    "sweep, largest",
-    [
-        (verify.check_strict_positivity, lambda n: n - 1),
-        (verify.check_monotonicity_sweep, lambda n: 104729 * (n - 1) + 1),
-        (verify.check_convexity_sweep, lambda n: 2 * n - 1),
-    ],
-    ids=["C1'", "C2", "C3"],
-)
-def test_sweeps_name_their_seed_range(sweep, largest):
-    # The largest sample seed, seed + largest(samples), is 2^63 - 1 at top.
-    top = 2**63 - 1 - largest(3)
-    sweep(samples=3, seed=top)
-    for seed in (-1, 10**20, top + 1):
-        message = rf"^seed must be in \[0, {top}\] for 3 samples, got {seed}$"
-        with pytest.raises(ValueError, match=message):
-            sweep(samples=3, seed=seed)
-
-
 def test_largest_seed_reaches_the_int64_edge():
     # C2's last channel seed, seed + 104729 (samples - 1) + 1, is 2^63 - 1.
     top = 2**63 - 2 - 104729 * 2
@@ -228,17 +210,7 @@ def test_largest_seed_reaches_the_int64_edge():
         run_property_suite(samples=3, seed=top + 1)
 
 
-@pytest.mark.parametrize(
-    "sweep",
-    [
-        verify.check_vanishing_on_incoherent,
-        verify.check_strict_positivity,
-        verify.check_monotonicity_sweep,
-        verify.check_convexity_sweep,
-        run_property_suite,
-    ],
-    ids=["C1", "C1'", "C2", "C3", "suite"],
-)
+@pytest.mark.parametrize("sweep", [run_property_suite], ids=["suite"])
 def test_sweeps_name_their_sample_count(sweep):
     for samples in (0, -1):
         with pytest.raises(ValueError, match=rf"^samples must be at least 1, got {samples}$"):
