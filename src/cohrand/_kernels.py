@@ -43,24 +43,10 @@ def _entropy_terms(psi):
     return f, q, ln_q, ln_p
 
 
-def _objective(psi):
-    """Roof objective of each ensemble of the stack psi (..., m, d), in nats."""
-    return _entropy_terms(psi)[0]
-
-
 def _generator(psi, q, ln_q, ln_p):
-    """:func:`_roof_gradient` from the :func:`_entropy_terms` of psi."""
-    D = np.subtract(ln_p[..., None], ln_q, where=q > 1e-300, out=np.zeros_like(q))
-    M = psi @ (D * psi).conj().swapaxes(-1, -2)
-    A = 2.0 * (M - M.conj().swapaxes(-1, -2))
-    diag = np.arange(A.shape[-1])
-    A[..., diag, diag] = 0.0
-    return A
-
-
-def _roof_gradient(psi):
     """Gradient of the objective as anti-Hermitian generators A, one per
-    ensemble of the stack psi (..., m, d).
+    ensemble of the stack psi (..., m, d), from the :func:`_entropy_terms`
+    of psi.
 
     The objective has d/dq_ei = ln p_e - ln q_ei =: D_ei (0 where q_ei
     vanishes, its limit there). With M = psi (D o psi)^dag, A = 2 (M - M^dag)
@@ -69,7 +55,12 @@ def _roof_gradient(psi):
     g_i = -Im A[l, j] = -2 Im(M[l, j] + M[j, l]). Diagonal generators only
     change row phases and never move the objective.
     """
-    return _generator(psi, *_entropy_terms(psi)[1:])
+    D = np.subtract(ln_p[..., None], ln_q, where=q > 1e-300, out=np.zeros_like(q))
+    M = psi @ (D * psi).conj().swapaxes(-1, -2)
+    A = 2.0 * (M - M.conj().swapaxes(-1, -2))
+    diag = np.arange(A.shape[-1])
+    A[..., diag, diag] = 0.0
+    return A
 
 
 def _conjugate_direction(A, gnorm2, H, prev_gnorm2):
@@ -91,7 +82,7 @@ def roof_descent(BT, W0, max_iter, tol_nats):
     W0 stacks R starting isometries (R, m, r); restart i's ensemble is
     psi_i = W_i @ BT (rows are unnormalized pure states). Steps move along
     geodesics W <- exp(t H) W. H is a conjugate direction in u(m) built
-    from the closed-form gradient generator A of :func:`_roof_gradient`,
+    from the closed-form gradient generator A of :func:`_generator`,
     H_k = A_k + beta_k H_(k-1) with the Fletcher-Reeves
     beta_k = |A_k|^2 / |A_(k-1)|^2 (Abrudan, Eriksson & Koivunen, Signal
     Processing 89, 1704 (2009)). H acts on the left, so the previous

@@ -88,6 +88,8 @@ def exact_measure_value(measure: MeasureId, rho: DensityMatrix) -> float:
 
 def _kraus_stack(ks: KrausSet) -> np.ndarray:
     """The operators as a (1, k, d, d) stack."""
+    if not len(ks.operators):
+        raise ValueError("a Kraus set needs at least one operator, got none")
     d = ks.operators[0].shape[0]
     for op in ks.operators:
         if op.shape != (d, d):
@@ -182,13 +184,15 @@ def apply_selective(rho: DensityMatrix, ks: KrausSet) -> list:
     return [SelectiveOutcome(float(pn), DensityMatrix(s)) for pn, s in zip(p[keep], states)]
 
 
-def projection_partition_kraus(partition, d: Optional[int] = None) -> KrausSet:
-    """Projectors onto disjoint basis-index blocks covering 0..d-1."""
+def projection_partition_kraus(partition) -> KrausSet:
+    """Projectors onto disjoint basis-index blocks covering 0..d-1, where d
+    is the largest index + 1."""
     sets = [sorted(int(i) for i in block) for block in partition]
-    flat = [i for block in sets for i in block]
-    if d is None:
-        d = max(flat) + 1 if flat else 0
-    if sorted(flat) != list(range(d)):
+    flat = sorted(i for block in sets for i in block)
+    if not flat:
+        raise NotAPartition(f"blocks {sets} hold no basis index")
+    d = flat[-1] + 1
+    if flat != list(range(d)):
         raise NotAPartition(f"blocks {sets} do not partition 0..{d - 1}")
     ops = []
     for block in sets:

@@ -30,7 +30,7 @@ from .measures import (
 )
 from .rng import DEFAULT_RATE_MARGIN, pipeline_compare, sample_measurement
 from .roof import RoofConfig, optimize_roof
-from .stateio import load_state, pure_to_dict, save_stream
+from .stateio import format_stream, load_state, pure_to_dict, save_stream
 from .states import DensityMatrix, PureState, pure_state
 from .verify import DEFAULT_MEASURES, run_property_suite
 
@@ -48,18 +48,14 @@ def _unit_interval(text: str) -> float:
     return value
 
 
-def _int_at_least(lowest: int):
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < lowest:
-            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {text}")
-        return value
-
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
-    return parse
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
 
 
-_positive_int = _int_at_least(1)
+_positive_int.__name__ = "int"  # argparse names the type in "invalid int value"
 
 
 def _positive_float(text: str) -> float:
@@ -132,9 +128,7 @@ def _report_dict(report: PropertyReport) -> dict:
 
 def _cmd_verify(args) -> int:
     measures = tuple(MeasureId(m) for m in args.measures) if args.measures else DEFAULT_MEASURES
-    reports = run_property_suite(
-        measures=measures, samples=args.samples, seed=args.seed, max_dim=args.max_dim
-    )
+    reports = run_property_suite(measures=measures, samples=args.samples, seed=args.seed)
     _emit([_report_dict(r) for r in reports])
     return 0 if all(r.passed for r in reports) else 1
 
@@ -181,8 +175,7 @@ def _cmd_sample(args) -> int:
     if args.out:
         save_stream(stream, args.out)
     else:
-        sys.stdout.write(f"# dim={stream.source_dim} seed={stream.seed}\n")
-        sys.stdout.write("\n".join(str(int(s)) for s in stream.symbols) + "\n")
+        sys.stdout.write(format_stream(stream))
     return 0
 
 
@@ -222,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_roof)
 
     p = sub.add_parser("verify", help="run the coherence-measure property suite")
-    p.add_argument("--max-dim", type=_int_at_least(2), default=6)
     p.add_argument("--samples", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(

@@ -40,7 +40,6 @@ class DistillationReport:
 @dataclass(frozen=True)
 class ExactRun:
     n_copies: int
-    amplitudes: np.ndarray  # full 2^N state vector
     probabilities: np.ndarray  # outcome probabilities, length N+1
     subspace_indices: list  # basis indices with k ones, per outcome
     subspace_states: list  # renormalized post-measurement amplitudes, or None
@@ -126,7 +125,7 @@ def distill_exact(psi: PureState, n_copies: int) -> ExactRun:
                 f"post-measurement state for k={k} deviates from maximal coherence by {dev:.2e}"
             )
         states.append(post)
-    return ExactRun(n_copies, vec, probs, indices, states)
+    return ExactRun(n_copies, probs, indices, states)
 
 
 def sample_exact_outcomes(run: ExactRun, shots: int, seed: int) -> np.ndarray:

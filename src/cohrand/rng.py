@@ -81,8 +81,8 @@ def toeplitz_extract(stream: OutcomeStream, rate: float, seed: int):
     rng = np.random.default_rng(seed)
     diag = rng.integers(0, 2, size=out_len + in_len - 1, dtype=np.uint8)
     out_bits = toeplitz_gf2(diag, bits, out_len)
-    out = OutcomeStream(out_bits.astype(np.int64), 2, seed)
-    return out, ExtractionReport(in_len, out_len, rate, monobit_z(out_bits))
+    report = ExtractionReport(in_len, out_len, rate, monobit_z(out_bits))
+    return OutcomeStream(out_bits, 2, seed), report
 
 
 def pipeline_compare(

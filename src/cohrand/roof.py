@@ -119,19 +119,12 @@ def optimize_roof(rho: DensityMatrix, config: RoofConfig = RoofConfig()) -> Roof
     return RoofResult(roof_objective(decomp), decomp, converged, config.restarts)
 
 
-def regularized_roof_estimate(
-    rho: DensityMatrix, copies: int, config: Optional[RoofConfig] = None
-) -> float:
-    """Per-copy roof value of rho^(x copies) in the product basis."""
-    if copies not in (1, 2):
-        raise ValueError("copies must be 1 or 2")
-    if rho.dim**copies > 16:
-        raise TooLarge(f"d^copies = {rho.dim**copies} exceeds the optimizer bound of 16")
-    mat = rho.mat
-    for _ in range(copies - 1):
-        mat = np.kron(mat, rho.mat)
-    result = optimize_roof(DensityMatrix(mat), config or RoofConfig())
-    return result.value / copies
+def regularized_roof_estimate(rho: DensityMatrix, config: Optional[RoofConfig] = None) -> float:
+    """Per-copy roof value of rho (x) rho in the product basis."""
+    if rho.dim**2 > 16:
+        raise TooLarge(f"d^2 = {rho.dim**2} exceeds the optimizer bound of 16")
+    result = optimize_roof(DensityMatrix(np.kron(rho.mat, rho.mat)), config or RoofConfig())
+    return result.value / 2
 
 
 def brute_force_roof_qubit(rho: DensityMatrix, grid_n: int) -> float:

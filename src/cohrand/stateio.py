@@ -86,10 +86,15 @@ def save_state(state: Union[DensityMatrix, PureState], path) -> None:
     Path(path).write_text(json.dumps(data))
 
 
-def save_stream(stream: OutcomeStream, path) -> None:
+def format_stream(stream: OutcomeStream) -> str:
+    """The stream file's text: the header line, then one symbol per line."""
     lines = [f"# dim={stream.source_dim} seed={stream.seed}"]
     lines.extend(str(int(s)) for s in stream.symbols)
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def save_stream(stream: OutcomeStream, path) -> None:
+    Path(path).write_text(format_stream(stream))
 
 
 def load_stream(path) -> OutcomeStream:

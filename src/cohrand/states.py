@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DimensionNot2, NotFinite, NotHermitian, NotPSD, TraceNotOne
 
 DEFAULT_TOL = 1e-10
+NORM_TOL = 1e-12  # a pure state's norm and a distribution's sum
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -102,22 +103,22 @@ def validate_densities(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     raise NotPSD(f"smallest eigenvalue = {eigmin[i]:.3e} < -{tol:.1e}")
 
 
-def validate_density(m, tol: float = DEFAULT_TOL) -> DensityMatrix:
+def validate_density(m) -> DensityMatrix:
     """Validate a raw square complex matrix as a density matrix: the stack
     check of :func:`validate_densities` on a stack of one."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return DensityMatrix(validate_densities(m[None], tol)[0])
+    return DensityMatrix(validate_densities(m[None])[0])
 
 
-def pure_state(amps, tol: float = 1e-12) -> PureState:
+def pure_state(amps) -> PureState:
     """Validate a raw complex vector as a unit-norm pure state."""
     amps = np.asarray(amps, dtype=complex).ravel()
     _require_finite(amps, "amplitude vector")
     norm_dev = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
-    if norm_dev > tol:
-        raise ValueError(f"|sum |a_i|^2 - 1| = {norm_dev:.3e} > {tol:.1e}")
+    if norm_dev > NORM_TOL:
+        raise ValueError(f"|sum |a_i|^2 - 1| = {norm_dev:.3e} > {NORM_TOL:.1e}")
     return PureState(amps)
 
 
@@ -152,16 +153,16 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(von_neumann_entropies(rho.mat[None])[0])
 
 
-def shannon_entropy(p, tol: float = 1e-12) -> float:
-    """H(p) = -sum p_i log2 p_i, in bits, with 0 log 0 = 0."""
+def shannon_entropy(p) -> float:
+    """H(p) = -sum p_i log2 p_i, in bits, with 0 log 0 = 0: the
+    :func:`entropy_bits` of a checked probability vector."""
     p = np.asarray(p, dtype=float).ravel()
-    if np.any(p < -tol):
+    if np.any(p < -NORM_TOL):
         raise ValueError(f"negative probability: min p_i = {p.min():.3e}")
     sum_dev = abs(float(p.sum()) - 1.0)
-    if sum_dev > tol:
-        raise ValueError(f"|sum p_i - 1| = {sum_dev:.3e} > {tol:.1e}")
-    p = p[p > 0]
-    return float(-np.sum(p * np.log2(p)))
+    if sum_dev > NORM_TOL:
+        raise ValueError(f"|sum p_i - 1| = {sum_dev:.3e} > {NORM_TOL:.1e}")
+    return float(entropy_bits(p))
 
 
 def bloch_to_density(n) -> DensityMatrix:

@@ -32,14 +32,15 @@ from .measures import MeasureId, c_l1_values, r_qubit_analytic_values
 from .states import random_densities
 
 DEFAULT_MEASURES = (MeasureId.REL_ENT, MeasureId.L1, MeasureId.QUBIT_ANALYTIC)
+MAX_DIM = 6  # the sweeps cycle d = 2..MAX_DIM
 
 
-def _dims(measure: MeasureId, max_dim: int, samples: int) -> np.ndarray:
+def _dims(measure: MeasureId, samples: int) -> np.ndarray:
     """Dimension of each sample of a measure's sweep: d cycles through the
     dimensions the measure is exact at."""
     if measure in (MeasureId.QUBIT_ANALYTIC, MeasureId.ROOF_RANDOMNESS):
         return np.full(samples, 2)
-    return 2 + np.arange(samples) % (max_dim - 1)
+    return 2 + np.arange(samples) % (MAX_DIM - 1)
 
 
 def _groups(dims: dict, key):
@@ -85,7 +86,7 @@ def _measure_major(measures, slacks: dict, witness):
     return flat, lambda j: witness(measures[j // samples], j % samples)
 
 
-def _vanishing(measures, samples: int, seed: int, max_dim: int) -> PropertyReport:
+def _vanishing(measures, samples: int, seed: int) -> PropertyReport:
     """C1: every measure is zero (within tolerance) on diagonal states.
 
     The states come from one generator, sample by sample and measure by
@@ -93,7 +94,7 @@ def _vanishing(measures, samples: int, seed: int, max_dim: int) -> PropertyRepor
     unique = list(dict.fromkeys(measures))
     # Position j = i * len(measures) + m is sample i of measures[m].
     which = np.tile([unique.index(m) for m in measures], samples)
-    dims = np.stack([_dims(m, max_dim, samples) for m in measures], axis=1).ravel()
+    dims = np.stack([_dims(m, samples) for m in measures], axis=1).ravel()
     starts = np.cumsum(dims) - dims
     # One draw of all the uniforms, consumed as the per-state draws would be.
     u = np.random.default_rng(seed).random(int(dims.sum()))
@@ -126,11 +127,11 @@ def _strict_positivity(mats: np.ndarray, seed: int) -> PropertyReport:
     return _report(PropertyId.C1_STRICT, slacks, witness, 0.0)
 
 
-def _monotonicity(measures, samples: int, seed: int, max_dim: int):
+def _monotonicity(measures, samples: int, seed: int):
     """C2a/C2b over seeded (state, incoherent channel) pairs: sample i pairs
     ``random_density(d, 1 + i % d, seed + 7919 i)`` with
     ``random_incoherent_kraus(d, 1 + i % 4, seed + 104729 i + 1)``."""
-    dims = {m: _dims(m, max_dim, samples) for m in measures}
+    dims = {m: _dims(m, samples) for m in measures}
     slack_a = {m: np.empty(samples) for m in dims}
     slack_b = {m: np.empty(samples) for m in dims}
     for (d, k), idx, group_measures in _groups(dims, lambda i, d: (d, 1 + i % 4)):
@@ -150,13 +151,13 @@ def _monotonicity(measures, samples: int, seed: int, max_dim: int):
     )
 
 
-def _convexity(measures, samples: int, seed: int, max_dim: int, qubits) -> PropertyReport:
+def _convexity(measures, samples: int, seed: int, qubits) -> PropertyReport:
     """C3 over seeded equal-weight two-state mixtures: sample i mixes
     ``random_density(d, 1 + i % d, seed + 2 i)`` and
     ``random_density(d, 1 + (i + 1) % d, seed + 2 i + 1)``. A qubit state
     that is also row o of `qubits`, C1''s states for the same seed, is
     taken from there rather than drawn again."""
-    dims = {m: _dims(m, max_dim, samples) for m in measures}
+    dims = {m: _dims(m, samples) for m in measures}
     slacks = {m: np.empty(samples) for m in dims}
     for d, idx, group_measures in _groups(dims, lambda i, d: d):
         # Pair member b of sample i is state o = 2 i + b, of seed `seed + o`.
@@ -178,9 +179,7 @@ def _convexity(measures, samples: int, seed: int, max_dim: int, qubits) -> Prope
     return _report(PropertyId.C3, *_measure_major(measures, slacks, witness), SLACK_TOL)
 
 
-def run_property_suite(
-    measures=DEFAULT_MEASURES, samples: int = 1000, seed: int = 0, max_dim: int = 6
-):
+def run_property_suite(measures=DEFAULT_MEASURES, samples: int = 1000, seed: int = 0):
     """Full C1 / C1' / C2a / C2b / C3 sweep; returns one report each.
 
     There must be a sample, and every sample seed must lie in [0, 2^63),
@@ -194,8 +193,8 @@ def run_property_suite(
     measures = tuple(measures)
     i = np.arange(samples)
     qubits = random_densities(2, 1 + i % 2, seed + i)
-    c1 = _vanishing(measures, samples, seed, max_dim)
+    c1 = _vanishing(measures, samples, seed)
     c1s = _strict_positivity(qubits, seed)
-    c2a, c2b = _monotonicity(measures, samples, seed, max_dim)
-    c3 = _convexity(measures, max(samples // 2, 1), seed, max_dim, qubits)
+    c2a, c2b = _monotonicity(measures, samples, seed)
+    c3 = _convexity(measures, max(samples // 2, 1), seed, qubits)
     return [c1, c1s, c2a, c2b, c3]

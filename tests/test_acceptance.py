@@ -107,7 +107,7 @@ def test_criterion_04_pure_state_identity():
 
 def test_criterion_05_property_suite():
     t0 = time.monotonic()
-    reports = run_property_suite(samples=1000, seed=0, max_dim=6)
+    reports = run_property_suite(samples=1000, seed=0)
     elapsed = time.monotonic() - t0
     worst = max(r.worst_slack for r in reports)
     ok = all(r.passed for r in reports) and elapsed <= 120.0
@@ -155,11 +155,11 @@ def test_criterion_07_exact_protocol():
 
 def test_criterion_08_regularized_estimate():
     rho = random_density(2, 2, seed=8000)
-    two = regularized_roof_estimate(rho, 2, RoofConfig(restarts=8, seed=0))
+    two = regularized_roof_estimate(rho, RoofConfig(restarts=8, seed=0))
     single = r_qubit_analytic(rho)
     mixed_ok = two <= single + 1e-6
     psi = pure_state([math.sqrt(0.7), math.sqrt(0.3)])
-    two_pure = regularized_roof_estimate(psi.projector(), 2, RoofConfig(restarts=8, seed=1))
+    two_pure = regularized_roof_estimate(psi.projector(), RoofConfig(restarts=8, seed=1))
     pure_dev = abs(two_pure - r_pure(psi))
     ok = mixed_ok and pure_dev <= 1e-6
     _line(8, ok, f"two-copy per-copy {two:.6f} <= single {single:.6f}+1e-6, pure additivity dev {pure_dev:.1e} (<=1e-6)")

@@ -86,6 +86,19 @@ class TestIncoherenceCheck:
         with pytest.raises(DimensionMismatch):
             is_incoherent_kraus_set(ks)
 
+    @pytest.mark.parametrize("operators", [[], np.zeros((0, 2, 2))], ids=["list", "array"])
+    def test_empty_kraus_set_is_a_named_error(self, operators):
+        # An empty set once failed with "IndexError: list index out of range".
+        ks = KrausSet(operators)
+        rho = random_density(2, 2, seed=0)
+        for call in (
+            lambda: is_incoherent_kraus_set(ks),
+            lambda: apply_channel(rho, ks),
+            lambda: check_monotonicity(MeasureId.L1, rho, ks),
+        ):
+            with pytest.raises(ValueError, match="needs at least one operator"):
+                call()
+
 
 class TestApplyChannel:
     def test_identity_channel(self):
@@ -135,7 +148,13 @@ class TestPartitionKraus:
 
     def test_gap_rejected(self):
         with pytest.raises(NotAPartition):
-            projection_partition_kraus([[0], [2]], d=3)
+            projection_partition_kraus([[0], [2]])
+
+    @pytest.mark.parametrize("partition", [[], [[]], [[], []]])
+    def test_empty_partition_rejected(self, partition):
+        # No index means no dimension to partition, not an empty Kraus set.
+        with pytest.raises(NotAPartition, match="hold no basis index"):
+            projection_partition_kraus(partition)
 
     def test_projection_keeps_subspace_coherence(self):
         # Projecting the d=4 maximally coherent state onto a 2-element block

@@ -45,11 +45,10 @@ ROOF_ARGS_OUT_OF_RANGE = (
     ("--tolerance", "inf"),
 )
 
-# Counts, dimensions and the pipeline margin out of range, each after the
+# Counts and the pipeline margin out of range, each after the
 # rest of its command line: argparse rejects each with exit code 2.
 ARGS_OUT_OF_RANGE = (
     (["verify"], "--samples", "0"),
-    (["verify"], "--max-dim", "1"),
     (["distill", "--alpha-sq", "0.5", "--exact"], "--n", "-5"),
     (["distill", "--alpha-sq", "0.5", "--n", "5"], "--m", "0"),
     (["sample", "x.json"], "--n", "0"),
@@ -184,6 +183,18 @@ class TestCli:
         assert out["r_pure"] == pytest.approx(1.0)
         assert out["qubit_analytic"] == pytest.approx(1.0)
 
+    def test_incoherent_state_prints_positive_zero(self, tmp_path, capsys):
+        # json.loads reads -0.0 as equal to 0.0, so the raw text is compared.
+        path = tmp_path / "basis.json"
+        save_state(pure_state([1.0, 0.0]), path)
+        assert main(["measures", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert '"r_pure": 0.0,' in out and "-0.0" not in out
+        assert main(["distill", "--alpha-sq", "1.0", "--n", "50", "--m", "200"]) == 0
+        out = capsys.readouterr().out
+        assert '"input_randomness": 0.0,' in out and '"loss_actual": 0.0,' in out
+        assert "-0.0" not in out
+
     def test_measures_rejects_nan_entries(self, tmp_path, capsys):
         # Loading stops the NaN before any measure is computed, so no
         # invalid JSON ("l1": NaN) reaches stdout.
@@ -272,9 +283,15 @@ class TestCli:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    def test_non_integer_count_is_named_an_int(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--samples", "x"])
+        assert exc.value.code == 2
+        assert "--samples: invalid int value: 'x'" in capsys.readouterr().err
+
     def test_argument_range_boundaries_are_accepted(self):
         parse = build_parser().parse_args
-        assert parse(["verify", "--samples", "1", "--max-dim", "2"]).max_dim == 2
+        assert parse(["verify", "--samples", "1"]).samples == 1
         assert parse(["distill", "--alpha-sq", "0.5", "--n", "1", "--m", "1"]).n == 1
         args = parse(["pipeline", "x.json", "--groups", "1", "--group-n", "1", "--margin", "0"])
         assert (args.groups, args.group_n, args.margin) == (1, 1, 0.0)
@@ -287,7 +304,7 @@ class TestCli:
         assert cli_error(capsys)["error"] == "ValueError"
 
     def test_verify_passes(self, capsys):
-        assert main(["verify", "--samples", "25", "--max-dim", "3"]) == 0
+        assert main(["verify", "--samples", "25"]) == 0
         reports = json.loads(capsys.readouterr().out)
         assert all(r["passed"] for r in reports)
 
@@ -309,11 +326,15 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["subspace_dims"] == [1, 4, 6, 4, 1]
 
-    def test_sample_to_file(self, plus_file, tmp_path):
+    def test_sample_to_file(self, plus_file, tmp_path, capsys):
         out_path = tmp_path / "stream.txt"
         assert main(["sample", plus_file, "--n", "100", "--out", str(out_path)]) == 0
         stream = load_stream(out_path)
         assert len(stream.symbols) == 100
+        # Without --out, the same text goes to stdout.
+        capsys.readouterr()
+        assert main(["sample", plus_file, "--n", "100"]) == 0
+        assert capsys.readouterr().out == out_path.read_text()
 
     def test_sample_rejects_density(self, density_file, capsys):
         assert main(["sample", density_file, "--n", "10"]) == 3

@@ -227,7 +227,7 @@ class TestMaximallyCoherent:
 class TestRegularizedRoof:
     def test_pure_state_additivity(self):
         psi = pure_state([math.sqrt(0.7), math.sqrt(0.3)])
-        per_copy = regularized_roof_estimate(psi.projector(), 2, RoofConfig(restarts=4))
+        per_copy = regularized_roof_estimate(psi.projector(), RoofConfig(restarts=4))
         assert per_copy == pytest.approx(r_pure(psi), abs=1e-6)
 
     def test_two_copy_estimate_equals_single(self):
@@ -235,12 +235,9 @@ class TestRegularizedRoof:
         # the two-copy per-copy value equals the single-copy value, not
         # merely stays below it.
         rho = random_density(2, 2, seed=2)
-        two = regularized_roof_estimate(rho, 2, RoofConfig(restarts=4, seed=2))
+        two = regularized_roof_estimate(rho, RoofConfig(restarts=4, seed=2))
         assert abs(two - r_qubit_analytic(rho)) <= 1e-6
 
     def test_copies_limited(self):
-        rho = random_density(2, 2, seed=3)
-        with pytest.raises(ValueError):
-            regularized_roof_estimate(rho, 3)
         with pytest.raises(TooLarge):
-            regularized_roof_estimate(random_density(5, 2, seed=4), 2)
+            regularized_roof_estimate(random_density(5, 2, seed=4))

@@ -53,7 +53,7 @@ class TestValidateDensity:
         m[0, 1] = 1e-12  # breaks Hermiticity below the default tolerance
         validate_density(m)
         with pytest.raises(NotHermitian):
-            validate_density(m, tol=1e-14)
+            validate_densities(m[None], tol=1e-14)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_rejected(self, bad):
@@ -140,6 +140,10 @@ class TestEntropies:
 
     def test_shannon_zero_convention(self):
         assert shannon_entropy([1.0, 0.0, 0.0]) == 0.0
+
+    def test_shannon_of_a_certain_outcome_is_positive_zero(self):
+        # H = 0 on an incoherent state's distribution must print as 0.0.
+        assert math.copysign(1, shannon_entropy([1.0, 0.0])) == 1
 
 
 class TestBloch:

@@ -26,10 +26,10 @@ QUBIT_ONLY = (MeasureId.QUBIT_ANALYTIC, MeasureId.ROOF_RANDOMNESS)
 WITNESS_KEYS = {"measure", "property", "sample_index", "dim", "state_seed", "channel_seed"}
 
 
-def serial_slacks(measure, samples, seed, max_dim):
+def serial_slacks(measure, samples, seed):
     """Each sweep's slacks, sample by sample, from the per-pair harness: the
     sweeps as a plain loop would run them for one measure."""
-    dims = [2] if measure in QUBIT_ONLY else list(range(2, max_dim + 1))
+    dims = [2] if measure in QUBIT_ONLY else list(range(2, verify.MAX_DIM + 1))
     rng = np.random.default_rng(seed)
     c1 = []
     for i in range(samples):
@@ -77,8 +77,8 @@ def suite_slacks(monkeypatch, measures, **kwargs):
 
 @pytest.mark.parametrize("measure", list(MeasureId))
 def test_stacked_suite_matches_the_per_pair_harness(measure, monkeypatch):
-    serial = serial_slacks(measure, samples=60, seed=11, max_dim=6)
-    reports, stacked = suite_slacks(monkeypatch, (measure,), samples=60, seed=11, max_dim=6)
+    serial = serial_slacks(measure, samples=60, seed=11)
+    reports, stacked = suite_slacks(monkeypatch, (measure,), samples=60, seed=11)
     tols = [verify.SLACK_TOL, 0.0, verify.SLACK_TOL, verify.SLACK_TOL, verify.SLACK_TOL]
     for report, slacks, flat, tol in zip(reports, serial, stacked, tols):
         assert abs(report.worst_slack - max(slacks)) <= 1e-15
@@ -91,14 +91,14 @@ def test_stacked_suite_matches_the_per_pair_harness(measure, monkeypatch):
     # With every sample failing, the witness is the first sample that
     # reaches the worst slack, as the serial scan finds it.
     monkeypatch.setattr(verify, "SLACK_TOL", -1.0)
-    failing = run_property_suite((measure,), samples=60, seed=11, max_dim=6)
+    failing = run_property_suite((measure,), samples=60, seed=11)
     for report, slacks in zip([failing[0], *failing[2:]], [serial[0], *serial[2:]]):
         assert report.witness["sample_index"] == int(np.argmax(slacks))
 
 
 def test_witness_rebuilds_the_reported_pair(monkeypatch):
     monkeypatch.setattr(verify, "SLACK_TOL", -1.0)
-    c1, c1s, c2a, c2b, c3 = run_property_suite(samples=40, seed=5, max_dim=5)
+    c1, c1s, c2a, c2b, c3 = run_property_suite(samples=40, seed=5)
     # C1' keeps its own bound of 0 on 1e-6 - R, so it still passes.
     assert c1s.passed and c1s.witness is None
     for report in (c1, c2a, c2b, c3):
@@ -127,7 +127,7 @@ def test_witness_rebuilds_the_reported_pair(monkeypatch):
 
 def test_cli_emits_the_witness_as_an_object(monkeypatch, capsys):
     monkeypatch.setattr(verify, "SLACK_TOL", -1.0)
-    assert main(["verify", "--samples", "8", "--max-dim", "3"]) == 1
+    assert main(["verify", "--samples", "8"]) == 1
     reports = json.loads(capsys.readouterr().out)
     c2a = reports[2]
     assert c2a["passed"] is False
@@ -141,7 +141,7 @@ def test_shared_pairs_match_single_measure_runs(monkeypatch):
     measures = list(MeasureId)
     # Five dimensions against four Kraus counts: a (d, k) group mixes
     # samples that some measures take at d and others at another dimension.
-    kwargs = {"samples": 40, "seed": 2, "max_dim": 6}
+    kwargs = {"samples": 40, "seed": 2}
     _, together = suite_slacks(monkeypatch, measures, **kwargs)
     alone = [suite_slacks(monkeypatch, (m,), **kwargs)[1] for m in measures]
     for k in (2, 3, 4):  # C2a, C2b, C3 scan measure after measure
@@ -154,9 +154,9 @@ def test_suite_c3_is_the_standalone_sweep(samples, monkeypatch):
     # included, must be the one the C3 sweep draws for itself.
     monkeypatch.setattr(verify, "SLACK_TOL", -1.0)
     measures = list(MeasureId)
-    c3 = run_property_suite(measures, samples=samples, seed=4, max_dim=5)[4]
+    c3 = run_property_suite(measures, samples=samples, seed=4)[4]
     no_qubits = np.empty((0, 2, 2), dtype=complex)
-    assert c3 == verify._convexity(measures, max(samples // 2, 1), 4, 5, no_qubits)
+    assert c3 == verify._convexity(measures, max(samples // 2, 1), 4, no_qubits)
 
 
 def test_suite_draws_shared_qubit_states_once(monkeypatch):
