@@ -76,12 +76,12 @@ def _conjugate_direction(A, gnorm2, H, prev_gnorm2):
     return H, slope
 
 
-def roof_descent(BT, W0, max_iter, tol_nats):
-    """Local descent on the isometry manifold from every restart at once.
+def roof_descent(psi0, max_iter, tol_nats):
+    """Local descent over the ensembles of one state from every restart at once.
 
-    W0 stacks R starting isometries (R, m, r); restart i's ensemble is
-    psi_i = W_i @ BT (rows are unnormalized pure states). Steps move along
-    geodesics W <- exp(t H) W. H is a conjugate direction in u(m) built
+    psi0 stacks R starting ensembles (R, m, d), each row an unnormalized
+    pure state. Steps move along geodesics psi <- exp(t H) psi, which keep
+    the mixture psi^T psi^* fixed. H is a conjugate direction in u(m) built
     from the closed-form gradient generator A of :func:`_generator`,
     H_k = A_k + beta_k H_(k-1) with the Fletcher-Reeves
     beta_k = |A_k|^2 / |A_(k-1)|^2 (Abrudan, Eriksson & Koivunen, Signal
@@ -93,19 +93,18 @@ def roof_descent(BT, W0, max_iter, tol_nats):
     stop rule, and leaves the active set when it stops, so it follows the
     same path it would follow alone.
 
-    Returns (objective in bits, final W, converged flag) of the best
-    restart: the lowest value, then the lowest index.
+    Returns (objective in bits, final rows (m, d), converged flag) of the
+    best restart: the lowest value, then the lowest index.
     """
-    W = W0.copy()
-    psi = W @ BT
+    psi = psi0
     f, *terms = _entropy_terms(psi)
-    n, m = W.shape[:2]
-    idx = np.arange(n)  # W0 index of each active restart
+    n, m = psi.shape[:2]
+    idx = np.arange(n)  # psi0 index of each active restart
     prev_t = np.ones(n)
     stall = np.zeros(n, dtype=int)
     H, prev_g2 = None, np.ones(n)  # H is zeroed at iteration 0, a reset
     f_out = np.empty(n)
-    W_out = np.empty_like(W)
+    psi_out = np.empty_like(psi)
     converged = np.zeros(n, dtype=bool)
     for it in range(max_iter):
         if not len(idx):
@@ -120,8 +119,7 @@ def roof_descent(BT, W0, max_iter, tol_nats):
         stop = gnorm2 < 1e-22
         # exp(t H) = U diag(e^{-itw}) U^dag, applied to psi in the eigenbasis.
         w, U = np.linalg.eigh(1j * H)
-        Uh = U.conj().swapaxes(-1, -2)
-        C = Uh @ psi
+        C = U.conj().swapaxes(-1, -2) @ psi
         jw = -1j * w
         t = prev_t * 2.0
         # Every trial steps every active restart; one that has passed its
@@ -137,16 +135,15 @@ def roof_descent(BT, W0, max_iter, tol_nats):
                 break
             t[searching] *= 0.5
         # A restart still searching after 60 halvings stops, counted as
-        # converged, as does one with a vanishing gradient. A restart that
-        # did not move leaves the active set below, so psi and its terms
-        # are read again only where the trial was accepted.
+        # converged, as does one with a vanishing gradient; it keeps its
+        # rows from before the trial. A restart that did not move leaves
+        # the active set below, so its terms are never read again.
         moved = ~(stop | searching)
         dec = f - f_t
-        W_t = U @ (phase * (Uh @ W))
         if not moved.all():
             f_t = np.where(moved, f_t, f)
-            W_t = np.where(moved[:, None, None], W_t, W)
-        f, psi, W = f_t, psi_t, W_t
+            psi_t = np.where(moved[:, None, None], psi_t, psi)
+        f, psi = f_t, psi_t
         prev_t = t
         # Linear convergence means the remaining gap is a multiple of the
         # per-iteration decrease; demand decreases well below the target
@@ -155,15 +152,15 @@ def roof_descent(BT, W0, max_iter, tol_nats):
         stop = ~moved | (stall >= 3)
         if stop.any():
             done = idx[stop]
-            f_out[done], W_out[done], converged[done] = f[stop], W[stop], True
+            f_out[done], psi_out[done], converged[done] = f[stop], psi[stop], True
             keep = ~stop
-            idx, W, psi, f, prev_t, stall, H, prev_g2, *terms = (
-                a[keep] for a in (idx, W, psi, f, prev_t, stall, H, prev_g2, *terms)
+            idx, psi, f, prev_t, stall, H, prev_g2, *terms = (
+                a[keep] for a in (idx, psi, f, prev_t, stall, H, prev_g2, *terms)
             )
-    f_out[idx], W_out[idx] = f, W
+    f_out[idx], psi_out[idx] = f, psi
     values = f_out / LN2
     best = int(np.argmin(values))
-    return float(values[best]), W_out[best], bool(converged[best])
+    return float(values[best]), psi_out[best], bool(converged[best])
 
 
 # --------------------------------------------------------------------------

@@ -256,6 +256,9 @@ def check_convexity(measure: MeasureId, ensemble) -> PropertyReport:
     qs = np.array([q for q, _ in ensemble], dtype=float)
     if np.any(qs < 0) or abs(qs.sum() - 1.0) > 1e-10:
         raise ValueError("ensemble weights must be a probability distribution")
+    dims = sorted({rho.dim for _, rho in ensemble})
+    if len(dims) > 1:
+        raise DimensionMismatch(f"ensemble members have dims {dims}, not one")
     mats = np.stack([rho.mat for _, rho in ensemble])[None]
     slack = float(convexity_slacks((measure,), qs, mats)[measure][0])
     witness = None if slack <= SLACK_TOL else ensemble

@@ -41,35 +41,26 @@ def _emit(data) -> None:
     sys.stdout.write(json.dumps(data, indent=2, allow_nan=False) + "\n")
 
 
-def _unit_interval(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
-    return value
+def _checked(parse, ok, rule):
+    """An argparse type: ``parse`` the text, and reject a value failing
+    ``ok`` by its ``rule``. Named after ``parse``, so text that does not
+    parse reads "invalid int value" or "invalid float value"."""
+
+    def check(text):
+        value = parse(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    check.__name__ = parse.__name__
+    return check
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return value
-
-
-_positive_int.__name__ = "int"  # argparse names the type in "invalid int value"
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
-    return value
+_unit_interval = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_positive_int = _checked(int, lambda v: v >= 1, "at least 1")
+_seed = _checked(int, lambda v: v >= 0, "at least 0")
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and positive")
+_nonnegative_float = _checked(float, lambda v: math.isfinite(v) and v >= 0, "finite and at least 0")
 
 
 def _as_density(state) -> DensityMatrix:
@@ -211,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=_positive_int, default=roof.restarts)
     p.add_argument("--tolerance", type=_positive_float, default=roof.tolerance)
     p.add_argument("--max-iterations", type=_positive_int, default=roof.max_iterations)
-    p.add_argument("--seed", type=int, default=roof.seed)
+    p.add_argument("--seed", type=_seed, default=roof.seed)
     p.set_defaults(func=_cmd_roof)
 
     p = sub.add_parser("verify", help="run the coherence-measure property suite")
@@ -229,14 +220,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-sq", type=_unit_interval, required=True)
     p.add_argument("--n", type=_positive_int, required=True, help="copies per group")
     p.add_argument("--m", type=_positive_int, default=1, help="number of groups")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--exact", action="store_true", help="state-vector mode (n <= 20)")
     p.set_defaults(func=_cmd_distill)
 
     p = sub.add_parser("sample", help="sample measurement outcomes of a pure state")
     p.add_argument("state")
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sample)
 
@@ -244,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state")
     p.add_argument("--groups", type=_positive_int, default=200)
     p.add_argument("--group-n", type=_positive_int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--margin", type=_nonnegative_float, default=DEFAULT_RATE_MARGIN)
     p.add_argument("--entropy", choices=["shannon", "min"], default="shannon")
     p.set_defaults(func=_cmd_pipeline)

@@ -62,18 +62,12 @@ def binomial_outcome_distribution(n_copies: int, p0: float) -> tuple[np.ndarray,
         raise ValueError("need at least one copy")
     ks = np.arange(n_copies + 1)
     log2_d = log2_binomial(n_copies, ks)
-    with np.errstate(divide="ignore"):
-        logp = np.where(ks < n_copies, (n_copies - ks) * np.log(max(p0, 1e-300)), 0.0)
-        logq = np.where(ks > 0, ks * np.log(max(1.0 - p0, 1e-300)), 0.0)
-    if p0 == 0.0:
-        probs = np.zeros(n_copies + 1)
-        probs[n_copies] = 1.0
-    elif p0 == 1.0:
-        probs = np.zeros(n_copies + 1)
-        probs[0] = 1.0
-    else:
-        probs = np.exp(log2_d * LN2 + logp + logq)
-    return probs, log2_d
+    # At p0 = 0 or 1 one log is -inf: exp(-inf) = 0 gives the point mass,
+    # and np.where drops the one 0 * -inf term.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logp = np.where(ks < n_copies, (n_copies - ks) * np.log(p0), 0.0)
+        logq = np.where(ks > 0, ks * np.log(1.0 - p0), 0.0)
+    return np.exp(log2_d * LN2 + logp + logq), log2_d
 
 
 def _qubit_amplitudes(psi: PureState):

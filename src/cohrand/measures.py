@@ -46,12 +46,11 @@ def c_rel_ent_values(mats: np.ndarray) -> np.ndarray:
 
     The minimum over incoherent states is attained at the dephased state,
     which gives this closed form (cross-checked against a grid minimizer in
-    the test suite).
+    the test suite). The dephased state's spectrum is its own diagonal,
+    summed in ascending order as ``eigvalsh`` returns a spectrum.
     """
-    d = mats.shape[-1]
-    dephased = np.zeros_like(mats)
-    dephased[:, range(d), range(d)] = mats[:, range(d), range(d)]
-    return np.maximum(von_neumann_entropies(dephased) - von_neumann_entropies(mats), 0.0)
+    dephased = np.sort(np.diagonal(mats, axis1=1, axis2=2).real, axis=-1)
+    return np.maximum(entropy_bits(dephased) - von_neumann_entropies(mats), 0.0)
 
 
 def c_rel_ent(rho: DensityMatrix) -> float:

@@ -73,10 +73,14 @@ def toeplitz_extract(stream: OutcomeStream, rate: float, seed: int):
         raise ValueError("extraction operates on binary streams")
     if not 0.0 < rate <= 1.0:
         raise RateOutOfRange(f"rate must be in (0, 1], got {rate}")
-    bits = np.ascontiguousarray(stream.symbols, dtype=np.uint8)
-    in_len = len(bits)
+    symbols = stream.symbols
+    in_len = len(symbols)
     if in_len == 0:
         raise ValueError("empty stream")
+    # Checked before the uint8 cast, which would wrap 256 to 0.
+    if symbols.min() < 0 or symbols.max() > 1:
+        raise ValueError("extraction needs symbols in the binary alphabet {0, 1}")
+    bits = np.ascontiguousarray(symbols, dtype=np.uint8)
     out_len = int(math.floor(in_len * rate))
     rng = np.random.default_rng(seed)
     diag = rng.integers(0, 2, size=out_len + in_len - 1, dtype=np.uint8)

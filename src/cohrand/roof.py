@@ -2,11 +2,11 @@
 
 The mixed-state value is the minimum, over all pure-state decompositions of
 rho, of the ensemble average of the pure-state randomness. Decompositions of
-size m are parameterized by m x r isometries applied to the support
-eigendecomposition; the optimizer runs a multi-start descent on that
-manifold, also on two copies of rho for a regularized estimate. A
-brute-force grid over 2x2 mixing unitaries serves as an
-independent qubit oracle.
+size m are the rows W @ B of m x r isometries W applied to the support
+eigendecomposition rows B; the optimizer draws its starts that way and runs
+a multi-start descent on the rows themselves, also on two copies of rho for
+a regularized estimate. A brute-force grid over 2x2 mixing unitaries serves
+as an independent qubit oracle.
 """
 
 from __future__ import annotations
@@ -53,18 +53,34 @@ class RoofResult:
     restarts_used: int
 
 
-def _support_eigendecomposition(rho: DensityMatrix):
+def _support_rows(rho: DensityMatrix) -> np.ndarray:
+    """Rows sqrt(lam_j) v_j of rho's support eigendecomposition, B (r, d).
+    Every ensemble of rho is the rows of W @ B for an m x r isometry W
+    (Hughston, Jozsa & Wootters, PLA 183, 14 (1993))."""
     lam, vec = np.linalg.eigh(rho.mat)
     keep = lam > RANK_THRESHOLD
-    return lam[keep], vec[:, keep]
+    return np.ascontiguousarray((vec[:, keep] * np.sqrt(lam[keep])).T)
+
+
+def _ensemble(rho: DensityMatrix, rows: np.ndarray) -> Decomposition:
+    """The decomposition of rho into the unnormalized rows psi_e (m, d): p_e
+    is the squared norm of each row, and rows below ELEMENT_DROP_THRESHOLD
+    are dropped."""
+    p = np.sum(np.abs(rows) ** 2, axis=1)
+    keep = p >= ELEMENT_DROP_THRESHOLD
+    decomp = Decomposition(p[keep], rows[keep] / np.sqrt(p[keep])[:, None])
+    recon_dev = float(np.max(np.abs(decomp.mixture() - rho.mat)))
+    if recon_dev > 1e-8:  # pragma: no cover - construction guarantees this
+        raise NotIsometry(f"ensemble reconstructs rho only to {recon_dev:.3e}")
+    return decomp
 
 
 def decomposition_from_isometry(rho: DensityMatrix, W: np.ndarray) -> Decomposition:
     """Ensemble |psi_e> = sum_j W_ej sqrt(lam_j) |v_j> from the support
     eigendecomposition of rho; p_e is the squared norm of each row."""
     W = np.asarray(W, dtype=complex)
-    lam, vec = _support_eigendecomposition(rho)
-    r = lam.shape[0]
+    b = _support_rows(rho)
+    r = b.shape[0]
     if W.ndim != 2 or W.shape[1] != r:
         raise RankMismatch(
             f"isometry has {W.shape[1] if W.ndim == 2 else '?'} columns, support rank is {r}"
@@ -72,15 +88,7 @@ def decomposition_from_isometry(rho: DensityMatrix, W: np.ndarray) -> Decomposit
     dev = float(np.max(np.abs(W.conj().T @ W - np.eye(r))))
     if dev > 1e-10:
         raise NotIsometry(f"max |W^dag W - I| = {dev:.3e} > 1e-10")
-    bt = (vec * np.sqrt(lam)).T  # row j = sqrt(lam_j) v_j
-    unnormalized = W @ bt
-    p = np.sum(np.abs(unnormalized) ** 2, axis=1)
-    keep = p >= ELEMENT_DROP_THRESHOLD
-    decomp = Decomposition(p[keep], unnormalized[keep] / np.sqrt(p[keep])[:, None])
-    recon_dev = float(np.max(np.abs(decomp.mixture() - rho.mat)))
-    if recon_dev > 1e-8:  # pragma: no cover - construction guarantees this
-        raise NotIsometry(f"ensemble reconstructs rho only to {recon_dev:.3e}")
-    return decomp
+    return _ensemble(rho, W @ b)
 
 
 def roof_objective(decomp: Decomposition) -> float:
@@ -101,11 +109,10 @@ def optimize_roof(rho: DensityMatrix, config: RoofConfig = RoofConfig()) -> Roof
     """
     if config.restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {config.restarts}")
-    lam, vec = _support_eigendecomposition(rho)
-    r = lam.shape[0]
-    bt = np.ascontiguousarray((vec * np.sqrt(lam)).T)
+    b = _support_rows(rho)
+    r = b.shape[0]
     if r == 1:
-        decomp = decomposition_from_isometry(rho, np.eye(1, dtype=complex))
+        decomp = _ensemble(rho, b)
         return RoofResult(roof_objective(decomp), decomp, True, 0)
     m = r * r
     tol_nats = config.tolerance * _kernels.LN2
@@ -114,8 +121,8 @@ def optimize_roof(rho: DensityMatrix, config: RoofConfig = RoofConfig()) -> Roof
         rng = np.random.default_rng(child)
         g[i] = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
     w0, _ = np.linalg.qr(g)
-    _, w_best, converged = _kernels.roof_descent(bt, w0, config.max_iterations, tol_nats)
-    decomp = decomposition_from_isometry(rho, w_best)
+    _, psi, converged = _kernels.roof_descent(w0 @ b, config.max_iterations, tol_nats)
+    decomp = _ensemble(rho, psi)
     return RoofResult(roof_objective(decomp), decomp, converged, config.restarts)
 
 
@@ -132,7 +139,7 @@ def brute_force_roof_qubit(rho: DensityMatrix, grid_n: int) -> float:
     (two angles, grid_n points each) applied to the eigendecomposition."""
     if rho.dim != 2:
         raise DimensionNot2(f"brute-force oracle needs d=2, got d={rho.dim}")
-    lam, vec = _support_eigendecomposition(rho)
-    if lam.shape[0] == 1:
-        return r_pure(PureState(vec[:, 0]))
-    return _kernels.qubit_grid_min(*(vec * np.sqrt(lam)).T.ravel(), grid_n)
+    b = _support_rows(rho)
+    if b.shape[0] == 1:
+        return r_pure(PureState(b[0]))
+    return _kernels.qubit_grid_min(*b.ravel(), grid_n)

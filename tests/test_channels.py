@@ -216,3 +216,10 @@ class TestPropertyHarnesses:
         ensemble = [(0.7, random_density(2, 2, seed=15)), (0.7, random_density(2, 2, seed=16))]
         with pytest.raises(ValueError):
             check_convexity(MeasureId.L1, ensemble)
+
+    def test_convexity_rejects_members_of_different_dimensions(self):
+        # A named error, not numpy's "all input arrays must have the same
+        # shape" from stacking the members.
+        ensemble = [(0.5, random_density(2, 2, seed=15)), (0.5, random_density(3, 3, seed=16))]
+        with pytest.raises(DimensionMismatch, match=r"\[2, 3\]"):
+            check_convexity(MeasureId.L1, ensemble)

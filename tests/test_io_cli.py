@@ -43,9 +43,10 @@ ROOF_ARGS_OUT_OF_RANGE = (
     ("--tolerance", "-1e-8"),
     ("--tolerance", "nan"),
     ("--tolerance", "inf"),
+    ("--seed", "-1"),
 )
 
-# Counts and the pipeline margin out of range, each after the
+# Counts, seeds and the pipeline margin out of range, each after the
 # rest of its command line: argparse rejects each with exit code 2.
 ARGS_OUT_OF_RANGE = (
     (["verify"], "--samples", "0"),
@@ -57,6 +58,9 @@ ARGS_OUT_OF_RANGE = (
     (["pipeline", "x.json"], "--margin", "-0.1"),
     (["pipeline", "x.json"], "--margin", "nan"),
     (["pipeline", "x.json"], "--margin", "inf"),
+    (["distill", "--alpha-sq", "0.5", "--n", "5"], "--seed", "-1"),
+    (["sample", "x.json", "--n", "5"], "--seed", "-1"),
+    (["pipeline", "x.json"], "--seed", "-1"),
 )
 
 
@@ -289,12 +293,22 @@ class TestCli:
         assert exc.value.code == 2
         assert "--samples: invalid int value: 'x'" in capsys.readouterr().err
 
+    def test_non_numeric_float_is_named_a_float(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["roof", "x.json", "--tolerance", "x"])
+        assert exc.value.code == 2
+        assert "--tolerance: invalid float value: 'x'" in capsys.readouterr().err
+
     def test_argument_range_boundaries_are_accepted(self):
         parse = build_parser().parse_args
         assert parse(["verify", "--samples", "1"]).samples == 1
         assert parse(["distill", "--alpha-sq", "0.5", "--n", "1", "--m", "1"]).n == 1
         args = parse(["pipeline", "x.json", "--groups", "1", "--group-n", "1", "--margin", "0"])
         assert (args.groups, args.group_n, args.margin) == (1, 1, 0.0)
+        assert parse(["roof", "x.json", "--seed", "0"]).seed == 0
+        assert parse(["distill", "--alpha-sq", "0.5", "--n", "1", "--seed", "0"]).seed == 0
+        assert parse(["sample", "x.json", "--n", "1", "--seed", "0"]).seed == 0
+        assert parse(["pipeline", "x.json", "--seed", "0"]).seed == 0
 
     @pytest.mark.parametrize("case", MALFORMED)
     def test_malformed_file_is_a_structured_error(self, case, tmp_path, capsys):

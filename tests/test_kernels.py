@@ -8,12 +8,7 @@ import numpy as np
 import pytest
 
 from cohrand import DensityMatrix, _kernels, r_qubit_analytic, random_density
-from cohrand.roof import _support_eigendecomposition
-
-
-def support_rows(rho):
-    lam, vec = _support_eigendecomposition(rho)
-    return (vec * np.sqrt(lam)).T
+from cohrand.roof import _support_rows as support_rows
 
 
 def random_ensemble(d, seed):
@@ -74,19 +69,20 @@ class TestRoofGradient:
 TOL_NATS = 1e-8 * math.log(2.0)
 
 
-def assert_batch_matches_single_restarts(bt, w0, max_iter):
+def assert_batch_matches_single_restarts(psi0, max_iter):
     """Descending a stack must give, bit for bit, the best (lowest value,
     then lowest index) of descending each restart alone, for the whole
     stack and for every stack that leaves one restart out. Returns the
     single-restart results."""
-    singles = [_kernels.roof_descent(bt, w0[i : i + 1], max_iter, TOL_NATS) for i in range(len(w0))]
-    subsets = [list(range(len(w0)))]
-    subsets += [[i for i in range(len(w0)) if i != out] for out in range(len(w0))]
+    n = len(psi0)
+    singles = [_kernels.roof_descent(psi0[i : i + 1], max_iter, TOL_NATS) for i in range(n)]
+    subsets = [list(range(n))]
+    subsets += [[i for i in range(n) if i != out] for out in range(n)]
     for subset in subsets:
-        value, w, converged = _kernels.roof_descent(bt, w0[subset], max_iter, TOL_NATS)
-        best_value, best_w, best_converged = min((singles[i] for i in subset), key=lambda s: s[0])
+        value, psi, converged = _kernels.roof_descent(psi0[subset], max_iter, TOL_NATS)
+        best_value, best_psi, best_converged = min((singles[i] for i in subset), key=lambda s: s[0])
         assert value == best_value
-        assert np.array_equal(w, best_w)
+        assert np.array_equal(psi, best_psi)
         assert converged == best_converged
     return singles
 
@@ -96,13 +92,14 @@ class TestRoofDescent:
     def test_reaches_analytic_qubit_value(self, seed):
         rho = random_density(2, 2, seed)
         bt, w0 = random_ensemble(2, seed)
-        value, w, converged = _kernels.roof_descent(bt, w0[None], 2000, 1e-8 * math.log(2.0))
+        psi0 = w0 @ bt
+        value, psi, converged = _kernels.roof_descent(psi0[None], 2000, 1e-8 * math.log(2.0))
         # perfbench/tracing.py unpacks this (float, ndarray, bool) triple.
         assert type(value) is float and type(converged) is bool
-        assert isinstance(w, np.ndarray) and w.shape == w0.shape
+        assert isinstance(psi, np.ndarray) and psi.shape == psi0.shape
         assert converged
         assert value == pytest.approx(r_qubit_analytic(rho), abs=1e-6)
-        assert np.max(np.abs(w.conj().T @ w - np.eye(2))) < 1e-10
+        assert np.max(np.abs(psi.T @ psi.conj() - rho.mat)) < 1e-10
 
     @staticmethod
     def random_stack(d, n, seed):
@@ -120,43 +117,46 @@ class TestRoofDescent:
         bt = support_rows(DensityMatrix(np.diag(lam).astype(complex)))
         w0 = self.random_stack(d, 4, seed=d)
         w0[2] = np.eye(d * d, d)
-        singles = assert_batch_matches_single_restarts(bt, w0, 300)
-        value, w, converged = singles[2]
+        psi0 = w0 @ bt
+        singles = assert_batch_matches_single_restarts(psi0, 300)
+        value, psi, converged = singles[2]
         assert value == 0.0 and converged
-        assert np.array_equal(w, w0[2])
+        assert np.array_equal(psi, psi0[2])
 
     def test_failed_line_search_stops_without_a_step(self):
         # On an incoherent qubit state a random restart descends to the
         # value 0.0 exactly, where no trial step passes the Armijo test:
         # the line search fails and the restart stops where it stands. So
-        # a budget one iteration short of that stop returns the same W,
+        # a budget one iteration short of that stop returns the same rows,
         # unconverged. A zero tolerance switches the stall stop off, which
         # would otherwise stop the conjugate-gradient descent first (at
         # 5.5e-14), and the gradient there is above the 1e-22 stop.
         bt = support_rows(DensityMatrix(np.diag([0.25, 0.75]).astype(complex)))
-        w0 = self.random_stack(2, 1, seed=2)
+        psi0 = self.random_stack(2, 1, seed=2) @ bt
         lo, hi = 0, 300  # the restart stops within hi iterations, not lo
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if _kernels.roof_descent(bt, w0, mid, 0.0)[2] else (mid, hi)
-        value, w, converged = _kernels.roof_descent(bt, w0, hi, 0.0)
-        short_value, short_w, short_converged = _kernels.roof_descent(bt, w0, lo, 0.0)
+            lo, hi = (lo, mid) if _kernels.roof_descent(psi0, mid, 0.0)[2] else (mid, hi)
+        value, psi, converged = _kernels.roof_descent(psi0, hi, 0.0)
+        short_value, short_psi, short_converged = _kernels.roof_descent(psi0, lo, 0.0)
         assert converged and not short_converged
         assert value == short_value == 0.0
-        assert np.array_equal(w, short_w)
-        A = generator(w @ bt)
+        assert np.array_equal(psi, short_psi)
+        A = generator(psi)
         assert 0.5 * np.sum(np.abs(A) ** 2) > 1e-22
 
     def test_stays_an_isometry_to_max_iterations(self):
-        # Each accepted step multiplies W by U diag(phase) U^dag, applied
-        # as two products. A d = 4 product of qubits that runs its whole
-        # budget of them still returns an isometry. A zero tolerance
-        # switches the stall stop off.
+        # Each accepted step multiplies the rows by U diag(phase) U^dag, a
+        # unitary applied as two products, so they stay W @ B for an
+        # isometry W and still mix to rho. A d = 4 product of qubits that
+        # runs its whole budget of them still returns such rows. A zero
+        # tolerance switches the stall stop off.
         a, b = (random_density(2, 2, seed=s) for s in (10, 11))
-        bt = support_rows(DensityMatrix(np.kron(a.mat, b.mat)))
-        value, w, converged = _kernels.roof_descent(bt, self.random_stack(4, 4, 11), 300, 0.0)
+        rho = DensityMatrix(np.kron(a.mat, b.mat))
+        psi0 = self.random_stack(4, 4, 11) @ support_rows(rho)
+        value, psi, converged = _kernels.roof_descent(psi0, 300, 0.0)
         assert not converged
-        assert np.max(np.abs(w.conj().T @ w - np.eye(4))) < 1e-12
+        assert np.max(np.abs(psi.T @ psi.conj() - rho.mat)) < 1e-12
 
     @pytest.mark.parametrize("d,seed,max_iter", [(2, 41, 40), (3, 40, 75)])
     def test_restarts_stay_independent_on_max_iter(self, d, seed, max_iter):
@@ -164,8 +164,8 @@ class TestRoofDescent:
         # d = 2, 59-96 at d = 3): some stop on max_iter, unconverged,
         # while the others converge.
         bt = support_rows(random_density(d, d, seed=seed))
-        w0 = self.random_stack(d, 5, seed=seed + 10)
-        singles = assert_batch_matches_single_restarts(bt, w0, max_iter)
+        psi0 = self.random_stack(d, 5, seed=seed + 10) @ bt
+        singles = assert_batch_matches_single_restarts(psi0, max_iter)
         flags = [converged for _, _, converged in singles]
         assert any(flags) and not all(flags)
 
@@ -175,7 +175,7 @@ class TestRoofDescent:
         # gradient. Both restarts need more than 40 iterations, so none
         # leaves the stack.
         bt = support_rows(random_density(3, 3, seed=40))
-        w0 = self.random_stack(3, 5, seed=50)[[0, 2]]
+        psi0 = self.random_stack(3, 5, seed=50)[[0, 2]] @ bt
         calls = []
         direction = _kernels._conjugate_direction
 
@@ -184,7 +184,7 @@ class TestRoofDescent:
             return calls[-1][1:]
 
         monkeypatch.setattr(_kernels, "_conjugate_direction", spy)
-        assert not _kernels.roof_descent(bt, w0, 40, TOL_NATS)[2]
+        assert not _kernels.roof_descent(psi0, 40, TOL_NATS)[2]
         assert len(calls) == 40
         for k, (h_in, _, _) in enumerate(calls):
             if k % 18 == 0:

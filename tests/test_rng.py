@@ -111,6 +111,14 @@ class TestToeplitzExtract:
         with pytest.raises(ValueError, match="empty stream"):
             toeplitz_extract(OutcomeStream(np.array([], dtype=np.int64), 2, 0), 0.5, seed=0)
 
+    @pytest.mark.parametrize("symbols", [[0, 1, 256, 3], [0, 2], [-1, 1]])
+    def test_symbols_outside_the_binary_alphabet_are_rejected(self, symbols):
+        # Checked before the uint8 cast, under which 256 would hash as 0
+        # and 3 as 1.
+        stream = OutcomeStream(np.array(symbols), 2, 0)
+        with pytest.raises(ValueError, match="binary alphabet"):
+            toeplitz_extract(stream, 0.5, seed=0)
+
     def test_binary_only(self):
         stream = OutcomeStream(np.zeros(100, dtype=np.int64), 3, 0)
         with pytest.raises(ValueError):

@@ -22,7 +22,9 @@ from cohrand import (
     regularized_roof_estimate,
     roof_objective,
 )
+from cohrand import roof
 from cohrand.errors import DimensionNot2, NotIsometry, RankMismatch, TooLarge
+from cohrand.roof import _support_rows
 from cohrand.states import DensityMatrix, PureState
 
 
@@ -119,19 +121,53 @@ class TestOptimizeRoof:
         # (m, r) = (4, 2), (9, 3) and (16, 4).
         starts = []
 
-        def descent(bt, w0, max_iter, tol_nats):
-            starts.append(w0)
-            return 0.0, w0[0], True
+        def descent(psi0, max_iter, tol_nats):
+            starts.append(psi0)
+            return 0.0, psi0[0], True
 
         monkeypatch.setattr(_kernels, "roof_descent", descent)
         m = d * d
         for seed in range(50):
-            optimize_roof(random_density(d, d, seed=seed), RoofConfig(seed=seed))
+            rho = random_density(d, d, seed=seed)
+            optimize_roof(rho, RoofConfig(seed=seed))
             assert starts[-1].shape == (16, m, d)
-            for w, child in zip(starts[-1], np.random.SeedSequence(seed).spawn(16)):
+            for psi, child in zip(starts[-1], np.random.SeedSequence(seed).spawn(16)):
                 rng = np.random.default_rng(child)
                 g = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
-                assert np.array_equal(w, np.linalg.qr(g)[0])
+                assert np.array_equal(psi, np.linalg.qr(g)[0] @ _support_rows(rho))
+
+    def test_reports_the_ensemble_the_descent_scored(self, monkeypatch):
+        # One eigendecomposition per roof: the descent's rows are the
+        # reported ensemble, not rebuilt from an isometry, so the value
+        # matches the kernel's own to rounding. On criterion 1's first
+        # 40 states.
+        support_calls, kernel_values = [], []
+        support_rows, descent = roof._support_rows, _kernels.roof_descent
+
+        def count_support_rows(rho):
+            support_calls.append(rho)
+            return support_rows(rho)
+
+        def record_descent(*args):
+            out = descent(*args)
+            kernel_values.append(out[0])
+            return out
+
+        def no_isometry(*args):
+            raise AssertionError("optimize_roof rebuilt its ensemble from an isometry")
+
+        monkeypatch.setattr(roof, "_support_rows", count_support_rows)
+        monkeypatch.setattr(_kernels, "roof_descent", record_descent)
+        monkeypatch.setattr(roof, "decomposition_from_isometry", no_isometry)
+        for i in range(40):
+            support_calls.clear()
+            kernel_values.clear()
+            result = optimize_roof(random_density(2, 1 + i % 2, seed=1000 + i), RoofConfig(seed=i))
+            assert len(support_calls) == 1
+            # A rank-1 state (even i) is its own ensemble, with no descent.
+            assert len(kernel_values) == i % 2
+            for kernel_value in kernel_values:
+                assert abs(result.value - kernel_value) <= 1e-15
 
     @pytest.mark.parametrize("d, r", [(3, 1), (3, 2), (3, 3), (4, 4)])
     def test_ensemble_has_at_most_r_squared_members(self, d, r):
