@@ -3,16 +3,16 @@
 * :func:`roof_descent` -- the convex-roof descent, all restarts in one
   batched descent, with the closed-form gradient of the objective
   (Röthlisberger, Lehmann & Loss, PRA 80, 042301 (2009)) and
-  Fletcher-Reeves conjugate directions on the unitary group, which fall
-  back to the gradient when they do not descend and every 2m iterations;
+  limited-memory BFGS directions on the unitary group, which fall back to
+  the gradient when they do not descend;
 * :func:`qubit_grid_min` -- the brute-force qubit roof oracle;
 * :func:`toeplitz_gf2` -- the Toeplitz GF(2) hash, as one circular FFT product.
 
 tests/test_kernels.py checks them against central differences, the naive
 Toeplitz product and the analytic qubit roof, checks the FFT length
 against a brute-force search, checks that a batched descent returns what
-its restarts return one by one, and checks the direction's fallback and
-resets.
+its restarts return one by one, and checks the direction against the
+dense BFGS update, its fallback and which steps the memory keeps.
 """
 
 from __future__ import annotations
@@ -63,17 +63,60 @@ def _generator(psi, q, ln_q, ln_p):
     return A
 
 
-def _conjugate_direction(A, gnorm2, H, prev_gnorm2):
-    """Fletcher-Reeves direction A + beta H, beta = gnorm2 / prev_gnorm2,
-    for each ensemble of the stack, and its slope 1/2 Re tr(A^dag H): minus
-    the derivative of the objective along exp(t H) at t = 0. Where the
-    slope is not positive the direction does not descend, and it falls
-    back to the gradient generator A, whose slope is gnorm2."""
-    H = A + (gnorm2 / prev_gnorm2)[:, None, None] * H
-    slope = 0.5 * np.einsum("...ij,...ij->...", A.conj(), H).real
+MEMORY = 4  # L-BFGS pairs each restart keeps
+
+
+def _real(X):
+    """The (R, m, m) complex stack X as (R, 2 m^2) reals, in which the dot
+    product of two rows is Re tr(X^dag Y)."""
+    return X.reshape(len(X), -1).view(np.float64)
+
+
+def _lbfgs_direction(A, gnorm2, S, Y, rho, gamma):
+    """L-BFGS direction H for each ensemble of the stack, from its gradient
+    generator A and its memory of steps (Liu & Nocedal, Math. Program. 45,
+    503 (1989)), and its slope 1/2 Re tr(A^dag H): minus the derivative of
+    the objective along exp(t H) at t = 0.
+
+    The memory holds the last MEMORY pairs of each restart, newest first,
+    as rows of S and Y (R, MEMORY, 2 m^2) with rho = 1 / <s, y>, and
+    gamma = <s, y> / <y, y> of the newest pair. An empty slot has rho = 0
+    and adds nothing, and with no pair gamma = 1, so the direction is A.
+    Every slot is visited, filled or not, so a restart computes the same
+    numbers in any stack. Where the slope is not positive the direction
+    does not descend, and it falls back to A, whose slope is gnorm2."""
+    a = _real(A)
+    q = a.copy()
+    alpha = np.empty(rho.shape)
+    for i in range(MEMORY):
+        alpha[:, i] = rho[:, i] * np.einsum("ri,ri->r", S[:, i], q)
+        q -= alpha[:, i, None] * Y[:, i]
+    q *= gamma[:, None]
+    for i in reversed(range(MEMORY)):
+        beta = rho[:, i] * np.einsum("ri,ri->r", Y[:, i], q)
+        q += (alpha[:, i] - beta)[:, None] * S[:, i]
+    slope = 0.5 * np.einsum("ri,ri->r", a, q)
+    H = q.view(np.complex128).reshape(A.shape)
     reset = slope <= 0.0
-    H[reset], slope[reset] = A[reset], gnorm2[reset]
+    if reset.any():
+        H[reset], slope[reset] = A[reset], gnorm2[reset]
     return H, slope
+
+
+def _remember(S, Y, rho, gamma, s, y, moved):
+    """Push the pair (s, y) of generators (R, m, m) in front of the memory
+    of :func:`_lbfgs_direction`, in place, for each restart that moved and
+    has <s, y> > 0; its oldest pair drops out."""
+    s, y = _real(s), _real(y)
+    sy = np.einsum("ri,ri->r", s, y)
+    new = moved & (sy > 0.0)
+    # Usually every restart stores, and a slice spares the masked copies.
+    new = slice(None) if new.all() else new
+    for a in (S, Y, rho):
+        a[new, 1:] = a[new, :-1]
+    S[new, 0], Y[new, 0], sy = s[new], y[new], sy[new]
+    rho[new, 0] = 1.0 / sy
+    gamma[new] = sy / np.einsum("ri,ri->r", Y[new, 0], Y[new, 0])
 
 
 def roof_descent(psi0, max_iter, tol_nats):
@@ -81,47 +124,45 @@ def roof_descent(psi0, max_iter, tol_nats):
 
     psi0 stacks R starting ensembles (R, m, d), each row an unnormalized
     pure state. Steps move along geodesics psi <- exp(t H) psi, which keep
-    the mixture psi^T psi^* fixed. H is a conjugate direction in u(m) built
-    from the closed-form gradient generator A of :func:`_generator`,
-    H_k = A_k + beta_k H_(k-1) with the Fletcher-Reeves
-    beta_k = |A_k|^2 / |A_(k-1)|^2 (Abrudan, Eriksson & Koivunen, Signal
-    Processing 89, 1704 (2009)). H acts on the left, so the previous
-    direction carries over to the new point as it is. H falls back to A
-    when it is not a descent direction (1/2 Re tr(A^dag H) <= 0) and every
-    2m iterations. An Armijo backtracking line search picks t. Each
-    restart keeps its own direction, step, line search, stall count and
-    stop rule, and leaves the active set when it stops, so it follows the
-    same path it would follow alone.
+    the mixture psi^T psi^* fixed. H in u(m) is the L-BFGS direction of
+    :func:`_lbfgs_direction`, built from the closed-form gradient generator
+    A of :func:`_generator` and the restart's last MEMORY steps: the
+    accepted step's generator s = t H and the change in the generator
+    y = A_before - A_after, kept only when <s, y> > 0 (on the unitary group
+    as in Huang, Gallivan & Absil, SIAM J. Optim. 25, 1660 (2015)). H acts
+    on the left, so a stored pair carries over to the new point as it is.
+    H falls back to A when it is not a descent direction
+    (1/2 Re tr(A^dag H) <= 0). An Armijo backtracking line search from
+    t = 1 picks t. Each restart keeps its own memory, line search, stall
+    count and stop rule, and leaves the active set when it stops, so it
+    follows the same path it would follow alone.
 
     Returns (objective in bits, final rows (m, d), converged flag) of the
     best restart: the lowest value, then the lowest index.
     """
     psi = psi0
     f, *terms = _entropy_terms(psi)
+    A = _generator(psi, *terms)
     n, m = psi.shape[:2]
     idx = np.arange(n)  # psi0 index of each active restart
-    prev_t = np.ones(n)
     stall = np.zeros(n, dtype=int)
-    H, prev_g2 = None, np.ones(n)  # H is zeroed at iteration 0, a reset
+    S, Y = np.zeros((2, n, MEMORY, 2 * m * m))
+    rho, gamma = np.zeros((n, MEMORY)), np.ones(n)
     f_out = np.empty(n)
     psi_out = np.empty_like(psi)
     converged = np.zeros(n, dtype=bool)
-    for it in range(max_iter):
+    for _ in range(max_iter):
         if not len(idx):
             break
-        A = _generator(psi, *terms)
         # Squared norm of the (g_r, g_i) coordinates over the pairs j < l.
         gnorm2 = 0.5 * np.einsum("...ij,...ij->...", A.conj(), A).real
-        if it % (2 * m) == 0:
-            H = np.zeros_like(A)
-        H, slope = _conjugate_direction(A, gnorm2, H, prev_g2)
-        prev_g2 = gnorm2
+        H, slope = _lbfgs_direction(A, gnorm2, S, Y, rho, gamma)
         stop = gnorm2 < 1e-22
         # exp(t H) = U diag(e^{-itw}) U^dag, applied to psi in the eigenbasis.
         w, U = np.linalg.eigh(1j * H)
         C = U.conj().swapaxes(-1, -2) @ psi
         jw = -1j * w
-        t = prev_t * 2.0
+        t = np.ones(len(idx))
         # Every trial steps every active restart; one that has passed its
         # Armijo test keeps its t, so its last trial repeats its accepted
         # step exactly.
@@ -136,15 +177,18 @@ def roof_descent(psi0, max_iter, tol_nats):
             t[searching] *= 0.5
         # A restart still searching after 60 halvings stops, counted as
         # converged, as does one with a vanishing gradient; it keeps its
-        # rows from before the trial. A restart that did not move leaves
-        # the active set below, so its terms are never read again.
+        # rows from before the trial and stores no pair. It leaves the
+        # active set below, so its generator, taken from the trial's terms,
+        # is never read.
         moved = ~(stop | searching)
         dec = f - f_t
         if not moved.all():
             f_t = np.where(moved, f_t, f)
             psi_t = np.where(moved[:, None, None], psi_t, psi)
         f, psi = f_t, psi_t
-        prev_t = t
+        A_new = _generator(psi, *terms)
+        _remember(S, Y, rho, gamma, t[:, None, None] * H, A - A_new, moved)
+        A = A_new
         # Linear convergence means the remaining gap is a multiple of the
         # per-iteration decrease; demand decreases well below the target
         # tolerance before declaring convergence.
@@ -154,13 +198,15 @@ def roof_descent(psi0, max_iter, tol_nats):
             done = idx[stop]
             f_out[done], psi_out[done], converged[done] = f[stop], psi[stop], True
             keep = ~stop
-            idx, psi, f, prev_t, stall, H, prev_g2, *terms = (
-                a[keep] for a in (idx, psi, f, prev_t, stall, H, prev_g2, *terms)
+            idx, psi, f, stall, A, S, Y, rho, gamma, *terms = (
+                a[keep] for a in (idx, psi, f, stall, A, S, Y, rho, gamma, *terms)
             )
     f_out[idx], psi_out[idx] = f, psi
     values = f_out / LN2
     best = int(np.argmin(values))
     return float(values[best]), psi_out[best], bool(converged[best])
+
+
 
 
 # --------------------------------------------------------------------------

@@ -29,6 +29,9 @@ from .states import (
 )
 
 
+LAYOUTS = ("entries", "amplitudes", "bloch")
+
+
 def _complex_array(pairs, what: str) -> np.ndarray:
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -50,24 +53,25 @@ def load_state(path) -> Union[DensityMatrix, PureState]:
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ValueError(f"a state file holds a JSON object, got {type(data).__name__}")
+    layouts = [key for key in LAYOUTS if key in data]
+    if len(layouts) != 1:
+        found = f"; it holds {' and '.join(layouts)}" if layouts else ""
+        raise ValueError(f"state file needs one of: {', '.join(LAYOUTS)}{found}")
     if "bloch" in data:
         n = data["bloch"]
         if not isinstance(n, list) or len(n) != 3 or any(type(c) not in (int, float) for c in n):
             raise ValueError("bloch must be a list of three real numbers")
         return bloch_to_density(n)
+    dim = _dim(data)
     if "amplitudes" in data:
-        dim = _dim(data)
         amps = _complex_array(data["amplitudes"], "amplitudes")
         if amps.shape[0] != dim:
             raise ValueError(f"expected {dim} amplitudes, got {amps.shape[0]}")
         return pure_state(amps)
-    if "entries" in data:
-        dim = _dim(data)
-        flat = _complex_array(data["entries"], "entries")
-        if flat.shape[0] != dim * dim:
-            raise ValueError(f"expected {dim * dim} entries, got {flat.shape[0]}")
-        return validate_density(flat.reshape(dim, dim))
-    raise ValueError("state file needs one of: entries, amplitudes, bloch")
+    flat = _complex_array(data["entries"], "entries")
+    if flat.shape[0] != dim * dim:
+        raise ValueError(f"expected {dim * dim} entries, got {flat.shape[0]}")
+    return validate_density(flat.reshape(dim, dim))
 
 
 def _pairs(values: np.ndarray):
@@ -101,7 +105,12 @@ def load_stream(path) -> OutcomeStream:
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("#"):
         raise ValueError("stream file must start with a '# dim=... seed=...' header")
-    header = dict(part.split("=") for part in lines[0].lstrip("# ").split())
+    header = {}
+    for field in lines[0].lstrip("# ").split():
+        key, eq, value = field.partition("=")
+        if not eq:
+            raise ValueError(f"stream header field {field!r} is not key=value")
+        header[key] = value
     missing = sorted({"dim", "seed"} - header.keys())
     if missing:
         raise ValueError(f"stream header lacks {' and '.join(missing)}")

@@ -87,8 +87,11 @@ def validate_densities(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     # A matrix with a NaN or inf fails on finiteness first; its other
     # checks run on zeros, which eigvalsh accepts.
     c = m if finite.all() else np.where(finite[:, None, None], m, 0.0)
-    herm_dev = np.abs(c - c.conj().swapaxes(1, 2)).max(axis=(1, 2))
-    trace_dev = np.abs(np.trace(c, axis1=1, axis2=2) - 1.0)
+    # Entries near the float limit overflow these to inf, which fails its
+    # check by name, without a warning.
+    with np.errstate(over="ignore"):
+        herm_dev = np.abs(c - c.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        trace_dev = np.abs(np.trace(c, axis1=1, axis2=2) - 1.0)
     eigmin = np.linalg.eigvalsh(c)[:, 0]
     ok = finite & (herm_dev <= tol) & (trace_dev <= tol) & (eigmin >= -tol)
     if ok.all():
@@ -116,7 +119,8 @@ def pure_state(amps) -> PureState:
     """Validate a raw complex vector as a unit-norm pure state."""
     amps = np.asarray(amps, dtype=complex).ravel()
     _require_finite(amps, "amplitude vector")
-    norm_dev = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
+    with np.errstate(over="ignore"):  # an overflow reads inf and fails below
+        norm_dev = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
     if norm_dev > NORM_TOL:
         raise ValueError(f"|sum |a_i|^2 - 1| = {norm_dev:.3e} > {NORM_TOL:.1e}")
     return PureState(amps)

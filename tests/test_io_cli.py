@@ -3,6 +3,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,8 @@ from cohrand.cli import _emit, build_parser, main
 from cohrand.errors import NotFinite, NotPSD
 from cohrand.stateio import load_state, load_stream, save_state, save_stream
 
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
 
 # Malformed state files that once escaped load_state as a TypeError or a
 # KeyError, or (a non-integer or boolean dim) were read as another
@@ -32,6 +38,27 @@ MALFORMED = {
     "bloch_component_not_a_number": '{"bloch": [[1], 0, 0]}',
     "fractional_dim": '{"dim": 2.5, "amplitudes": [[1, 0], [0, 0]]}',
     "boolean_dim": '{"dim": true, "amplitudes": [[1, 0], [0, 0]]}',
+    "two_layouts": '{"dim": 2, "amplitudes": [[1, 0], [0, 0]], "entries": 5}',
+}
+
+# Entries near the float limit, whose checks once overflowed with a numpy
+# warning on stderr ahead of the JSON error: (file text, error, message).
+OVERFLOWING = {
+    "amplitude_norm": (
+        '{"dim": 2, "amplitudes": [[1e200, 0], [0, 0]]}',
+        "ValueError",
+        "|sum |a_i|^2 - 1| = inf > 1.0e-12",
+    ),
+    "trace": (
+        '{"dim": 2, "entries": [[1e308, 0], [0, 0], [0, 0], [1e308, 0]]}',
+        "TraceNotOne",
+        "|Tr rho - 1| = inf > 1.0e-10",
+    ),
+    "hermiticity": (
+        '{"dim": 2, "entries": [[0.5, 0], [1e308, 0], [-1e308, 0], [0.5, 0]]}',
+        "NotHermitian",
+        "max |rho_ij - conj(rho_ji)| = inf > 1.0e-10",
+    ),
 }
 
 # Roof arguments out of range: argparse rejects each with exit code 2.
@@ -140,6 +167,14 @@ class TestStateFiles:
             load_state(path)
 
 
+    def test_two_layouts_are_named(self, tmp_path):
+        # The amplitudes once loaded and the entries were ignored.
+        path = tmp_path / "two.json"
+        path.write_text(MALFORMED["two_layouts"])
+        with pytest.raises(ValueError, match="it holds entries and amplitudes$"):
+            load_state(path)
+
+
 class TestStreamFiles:
     def test_round_trip(self, tmp_path):
         stream = OutcomeStream(np.array([0, 1, 1, 0], dtype=np.int64), 2, 7)
@@ -170,6 +205,13 @@ class TestStreamFiles:
         path = tmp_path / "bad.txt"
         path.write_text(header + "\n" + body)
         with pytest.raises(ValueError, match="at least 1"):
+            load_stream(path)
+
+    def test_header_field_without_equals_is_named(self, tmp_path):
+        # It once failed with dict()'s "dictionary update sequence" message.
+        path = tmp_path / "bad.txt"
+        path.write_text("# dim=2 seed=1 extra\n0\n1\n")
+        with pytest.raises(ValueError, match="field 'extra' is not key=value"):
             load_stream(path)
 
     def test_out_of_range_symbols(self, tmp_path):
@@ -208,6 +250,23 @@ class TestCli:
         error = cli_error(capsys)
         assert error["error"] == "NotFinite" and error["command"] == "measures"
         assert "NaN" in error["message"]
+
+    @pytest.mark.parametrize("case", OVERFLOWING)
+    def test_overflowing_input_leaves_one_json_object_on_stderr(self, case, tmp_path):
+        # A fresh interpreter with its default warning filters: a numpy
+        # warning would reach stderr ahead of the error, and json.loads
+        # rejects anything but one object.
+        text, name, message = OVERFLOWING[case]
+        path = tmp_path / "big.json"
+        path.write_text(text)
+        pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": pythonpath}
+        env.pop("PYTHONWARNINGS", None)
+        argv = [sys.executable, "-m", "cohrand.cli", "measures", str(path)]
+        out = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert out.returncode == 3 and out.stdout == ""
+        error = {"error": name, "message": message, "command": "measures"}
+        assert json.loads(out.stderr) == error
 
     def test_unreadable_input_is_a_structured_error(self, tmp_path, capsys):
         assert main(["roof", str(tmp_path / "missing.json")]) == 3

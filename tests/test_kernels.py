@@ -129,8 +129,8 @@ class TestRoofDescent:
         # the line search fails and the restart stops where it stands. So
         # a budget one iteration short of that stop returns the same rows,
         # unconverged. A zero tolerance switches the stall stop off, which
-        # would otherwise stop the conjugate-gradient descent first (at
-        # 5.5e-14), and the gradient there is above the 1e-22 stop.
+        # would otherwise stop the L-BFGS descent first (at 1.2e-14), and
+        # the gradient there is above the 1e-22 stop.
         bt = support_rows(DensityMatrix(np.diag([0.25, 0.75]).astype(complex)))
         psi0 = self.random_stack(2, 1, seed=2) @ bt
         lo, hi = 0, 300  # the restart stops within hi iterations, not lo
@@ -149,19 +149,20 @@ class TestRoofDescent:
         # Each accepted step multiplies the rows by U diag(phase) U^dag, a
         # unitary applied as two products, so they stay W @ B for an
         # isometry W and still mix to rho. A d = 4 product of qubits that
-        # runs its whole budget of them still returns such rows. A zero
-        # tolerance switches the stall stop off.
+        # runs its whole budget of them still returns such rows: its
+        # restarts stop on a failed line search after 281-350 iterations. A
+        # zero tolerance switches the stall stop off.
         a, b = (random_density(2, 2, seed=s) for s in (10, 11))
         rho = DensityMatrix(np.kron(a.mat, b.mat))
         psi0 = self.random_stack(4, 4, 11) @ support_rows(rho)
-        value, psi, converged = _kernels.roof_descent(psi0, 300, 0.0)
+        value, psi, converged = _kernels.roof_descent(psi0, 250, 0.0)
         assert not converged
         assert np.max(np.abs(psi.T @ psi.conj() - rho.mat)) < 1e-12
 
-    @pytest.mark.parametrize("d,seed,max_iter", [(2, 41, 40), (3, 40, 75)])
+    @pytest.mark.parametrize("d,seed,max_iter", [(2, 41, 20), (3, 40, 32)])
     def test_restarts_stay_independent_on_max_iter(self, d, seed, max_iter):
-        # A budget between the restarts' own iteration counts (31-47 at
-        # d = 2, 59-96 at d = 3): some stop on max_iter, unconverged,
+        # A budget between the restarts' own iteration counts (17-28 at
+        # d = 2, 31-34 at d = 3): some stop on max_iter, unconverged,
         # while the others converge.
         bt = support_rows(random_density(d, d, seed=seed))
         psi0 = self.random_stack(d, 5, seed=seed + 10) @ bt
@@ -169,46 +170,97 @@ class TestRoofDescent:
         flags = [converged for _, _, converged in singles]
         assert any(flags) and not all(flags)
 
-    def test_direction_carries_over_and_restarts_every_2m_iterations(self, monkeypatch):
-        # Each iteration extends the direction it took last, except every
-        # 2m iterations (m = 9 here), where it starts again from the
-        # gradient. Both restarts need more than 40 iterations, so none
-        # leaves the stack.
-        bt = support_rows(random_density(3, 3, seed=40))
-        psi0 = self.random_stack(3, 5, seed=50)[[0, 2]] @ bt
-        calls = []
-        direction = _kernels._conjugate_direction
 
-        def spy(A, gnorm2, H, prev_gnorm2):
-            calls.append((H.copy(), *direction(A, gnorm2, H, prev_gnorm2)))
-            return calls[-1][1:]
-
-        monkeypatch.setattr(_kernels, "_conjugate_direction", spy)
-        assert not _kernels.roof_descent(psi0, 40, TOL_NATS)[2]
-        assert len(calls) == 40
-        for k, (h_in, _, _) in enumerate(calls):
-            if k % 18 == 0:
-                assert not h_in.any()
-            else:
-                assert np.array_equal(h_in, calls[k - 1][1])
+def memory(n, m):
+    """An empty L-BFGS memory for n restarts of m x m generators."""
+    S, Y = np.zeros((2, n, _kernels.MEMORY, 2 * m * m))
+    return S, Y, np.zeros((n, _kernels.MEMORY)), np.ones(n)
 
 
-class TestConjugateDirection:
+class TestLbfgsDirection:
+    @staticmethod
+    def gradient(seed):
+        bt, w0 = random_ensemble(2, seed=seed)
+        A = generator((w0 @ bt)[None])
+        return A, 0.5 * np.sum(np.abs(A) ** 2, axis=(1, 2))
+
+    def test_is_the_gradient_with_no_stored_pair(self):
+        A, gnorm2 = self.gradient(seed=3)
+        H, slope = _kernels._lbfgs_direction(A, gnorm2, *memory(1, 4))
+        assert np.array_equal(H, A)
+        assert slope[0] == pytest.approx(gnorm2[0], rel=1e-15)
+
+    def test_matches_the_dense_bfgs_update(self):
+        # The two-loop recursion against the inverse-Hessian BFGS update
+        # written out as matrices, over the 2 m^2 real coordinates:
+        # H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T, oldest pair
+        # first, from H = gamma I of the newest pair.
+        A, gnorm2 = self.gradient(seed=3)
+        a = _kernels._real(A)[0]
+        g = np.random.default_rng(8)
+        mem = memory(1, 4)
+        pairs = []
+        for _ in range(_kernels.MEMORY):
+            s = a * g.standard_normal(a.size)
+            y = s * np.exp(g.standard_normal(a.size))  # <s, y> > 0
+            pairs.append((s, y))
+            as_gen = [v.view(np.complex128).reshape(A.shape) for v in (s, y)]
+            _kernels._remember(*mem, *as_gen, np.array([True]))
+        s, y = pairs[-1]
+        H_inv = (s @ y) / (y @ y) * np.eye(a.size)
+        for s, y in pairs:
+            rho = 1.0 / (s @ y)
+            V = np.eye(a.size) - rho * np.outer(y, s)
+            H_inv = V.T @ H_inv @ V + rho * np.outer(s, s)
+        H, slope = _kernels._lbfgs_direction(A, gnorm2, *mem)
+        expected = H_inv @ a
+        error = np.max(np.abs(_kernels._real(H)[0] - expected))
+        assert error < 1e-12 * np.max(np.abs(expected))
+        assert slope[0] == pytest.approx(0.5 * a @ expected, rel=1e-12)
+
     def test_falls_back_to_the_gradient_unless_it_descends(self):
-        # Three restarts with one gradient generator A and beta = 1: the
-        # previous direction A gives 2A (slope 2|A|^2); -A gives 0 (slope
-        # 0) and -2A gives -A (slope -|A|^2), neither a descent direction,
-        # so both fall back to A with slope |A|^2.
-        bt, w0 = random_ensemble(2, seed=3)
-        A = generator(w0 @ bt)
-        gnorm2 = 0.5 * np.sum(np.abs(A) ** 2)
-        stack = np.stack([A, A, A])
-        H, slope = _kernels._conjugate_direction(
-            stack, np.full(3, gnorm2), np.stack([A, -A, -2 * A]), np.full(3, gnorm2)
+        # With no pair the direction is gamma A. Three restarts of one
+        # stack with gamma = -1, 0 and 1 give the directions -A (slope
+        # -|A|^2 / 2), 0 (slope 0) and A: the first two do not descend, so
+        # they fall back to A with slope |A|^2 / 2.
+        A, gnorm2 = self.gradient(seed=3)
+        stack = np.concatenate([A, A, A])
+        S, Y, rho, _ = memory(3, 4)
+        H, slope = _kernels._lbfgs_direction(
+            stack, np.repeat(gnorm2, 3), S, Y, rho, np.array([-1.0, 0.0, 1.0])
         )
-        assert np.array_equal(H[0], 2 * A) and slope[0] == pytest.approx(2 * gnorm2)
-        assert np.array_equal(H[1], A) and np.array_equal(H[2], A)
-        assert slope[1] == slope[2] == gnorm2
+        assert all(np.array_equal(h, A[0]) for h in H)
+        assert slope[0] == slope[1] == gnorm2[0]
+        assert slope[2] == pytest.approx(gnorm2[0], rel=1e-15)
+
+
+class TestRemember:
+    def test_stores_only_steps_that_moved_with_positive_curvature(self):
+        # Four restarts, each offered the step s = A: one that did not
+        # move, one with <s, y> < 0, one with <s, y> = 0, and one that is
+        # stored, with rho = 1 / <s, y> and gamma = <s, y> / <y, y>.
+        A, gnorm2 = TestLbfgsDirection.gradient(seed=4)
+        s = np.concatenate([A, A, A, A])
+        y = np.concatenate([2 * A, -A, 0 * A, 2 * A])
+        S, Y, rho, gamma = mem = memory(4, 4)
+        _kernels._remember(*mem, s, y, np.array([False, True, True, True]))
+        assert not S[:3].any() and not Y[:3].any() and not rho[:3].any()
+        assert np.array_equal(gamma[:3], np.ones(3))
+        assert np.array_equal(S[3, 0], _kernels._real(s)[3])
+        assert np.array_equal(Y[3, 0], _kernels._real(y)[3])
+        assert rho[3, 0] == pytest.approx(1.0 / (4.0 * gnorm2[0]), rel=1e-14)
+        assert gamma[3] == pytest.approx(0.5, rel=1e-14)
+        assert not S[3, 1:].any() and not rho[3, 1:].any()
+
+    def test_keeps_the_last_pairs_newest_first(self):
+        # After MEMORY + 1 pairs (k A, A), k = 1, 2, ..., the first has
+        # dropped out and the last is in front.
+        A = TestLbfgsDirection.gradient(seed=6)[0]
+        S, Y, rho, gamma = mem = memory(1, 4)
+        for k in range(1, _kernels.MEMORY + 2):
+            _kernels._remember(*mem, k * A, A, np.array([True]))
+        a = _kernels._real(A)[0]
+        assert S[0] @ a / (a @ a) == pytest.approx([5, 4, 3, 2], rel=1e-14)
 
 
 class TestQubitGrid:

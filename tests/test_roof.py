@@ -28,6 +28,29 @@ from cohrand.roof import _support_rows
 from cohrand.states import DensityMatrix, PureState
 
 
+def qubit(seed):
+    """The rank-2 qubit random_density(2, 2, seed) as a matrix, with its
+    analytic roof value."""
+    rho = random_density(2, 2, seed=seed)
+    return rho.mat, r_qubit_analytic(rho)
+
+
+BASIS_BLOCK = (np.ones((1, 1), dtype=complex), 0.0)  # |k><k|, of value 0
+
+
+def direct_sum(*parts):
+    """(+)_k p_k sigma_k from parts (p_k, (sigma_k, R(sigma_k))), with its
+    value sum_k p_k R(sigma_k)."""
+    d = sum(len(sigma) for _, (sigma, _) in parts)
+    mat = np.zeros((d, d), dtype=complex)
+    start = 0
+    for p, (sigma, _) in parts:
+        stop = start + len(sigma)
+        mat[start:stop, start:stop] = p * sigma
+        start = stop
+    return mat, sum(p * value for p, (_, value) in parts)
+
+
 class TestDecompositionFromIsometry:
     def test_identity_isometry_recovers_eigendecomposition(self):
         rho = random_density(3, 3, seed=1)
@@ -209,12 +232,27 @@ class TestOptimizeRoof:
         # selective monotonicity gives >=, and mixing sigma's optimal
         # ensemble with |2> gives <=.
         sigma = random_density(2, sigma_rank, seed=sigma_seed)
-        mat = np.zeros((3, 3), dtype=complex)
-        mat[:2, :2] = p * sigma.mat
-        mat[2, 2] = 1.0 - p
+        mat, exact = direct_sum((p, (sigma.mat, r_qubit_analytic(sigma))), (1.0 - p, BASIS_BLOCK))
         result = optimize_roof(DensityMatrix(mat), RoofConfig(restarts=4, seed=seed))
         assert result.converged
-        assert result.value == pytest.approx(p * r_qubit_analytic(sigma), abs=1e-7)
+        assert result.value == pytest.approx(exact, abs=1e-7)
+
+    @pytest.mark.parametrize("case", ["d5 sum", "d6 sum", "d6 product"])
+    def test_exact_value_in_dimensions_five_and_six(self, case):
+        # Direct sums of incoherent blocks and a product, built from rank-2
+        # qubits rho_s = random_density(2, 2, s): the value of a direct sum
+        # is the weighted sum of its blocks' values (as for the qutrit sums
+        # above), and the roof is additive over products.
+        if case == "d5 sum":
+            mat, exact = direct_sum((0.4, qubit(30)), (0.4, qubit(31)), (0.2, BASIS_BLOCK))
+        elif case == "d6 sum":
+            mat, exact = direct_sum((0.3, qubit(32)), (0.3, qubit(33)), (0.4, qubit(34)))
+        else:
+            (a, value_a), (b, value_b) = qubit(35), direct_sum((0.6, qubit(36)), (0.4, BASIS_BLOCK))
+            mat, exact = np.kron(a, b), value_a + value_b
+        result = optimize_roof(DensityMatrix(mat), RoofConfig(restarts=4))
+        assert result.converged
+        assert result.value == pytest.approx(exact, abs=1e-7)
 
     def test_dominates_rel_ent_in_dimension_three(self):
         # The roof value upper-estimates the true minimum, which itself
