@@ -4,15 +4,15 @@
   batched descent, with the closed-form gradient of the objective
   (Röthlisberger, Lehmann & Loss, PRA 80, 042301 (2009)) and
   limited-memory BFGS directions on the unitary group, which fall back to
-  the gradient when they do not descend;
+  the gradient when they do not descend, and Cayley steps;
 * :func:`qubit_grid_min` -- the brute-force qubit roof oracle;
 * :func:`toeplitz_gf2` -- the Toeplitz GF(2) hash, as one circular FFT product.
 
-tests/test_kernels.py checks them against central differences, the naive
-Toeplitz product and the analytic qubit roof, checks the FFT length
-against a brute-force search, checks that a batched descent returns what
-its restarts return one by one, and checks the direction against the
-dense BFGS update, its fallback and which steps the memory keeps.
+tests/test_kernels.py checks them against central differences, exp(tH),
+the naive Toeplitz product and the analytic qubit roof, the FFT length
+against a brute-force search, a batched descent against its restarts one
+by one, and the direction against the dense BFGS update, its fallback
+and which steps the memory keeps.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def _lbfgs_direction(A, gnorm2, S, Y, rho, gamma):
     """L-BFGS direction H for each ensemble of the stack, from its gradient
     generator A and its memory of steps (Liu & Nocedal, Math. Program. 45,
     503 (1989)), and its slope 1/2 Re tr(A^dag H): minus the derivative of
-    the objective along exp(t H) at t = 0.
+    the objective along the step of :func:`roof_descent` at t = 0.
 
     The memory holds the last MEMORY pairs of each restart, newest first,
     as rows of S and Y (R, MEMORY, 2 m^2) with rho = 1 / <s, y>, and
@@ -119,23 +119,32 @@ def _remember(S, Y, rho, gamma, s, y, moved):
     gamma[new] = sy / np.einsum("ri,ri->r", Y[new, 0], Y[new, 0])
 
 
+def _cayley(H, HP, psi, t):
+    """(I - tH/2)^-1 (I + tH/2) psi for each ensemble of the stack psi
+    (R, m, d), with HP = H psi and one t each, by one batched solve: for H
+    in u(m), a unitary with tangent H at t = 0, the Cayley transform (Wen &
+    Yin, Math. Program. 142, 397 (2013)). I - tH/2 is never singular."""
+    h = 0.5 * t[:, None, None]
+    return np.linalg.solve(np.eye(H.shape[-1]) - h * H, psi + h * HP)
+
+
 def roof_descent(psi0, max_iter, tol_nats):
     """Local descent over the ensembles of one state from every restart at once.
 
     psi0 stacks R starting ensembles (R, m, d), each row an unnormalized
-    pure state. Steps move along geodesics psi <- exp(t H) psi, which keep
-    the mixture psi^T psi^* fixed. H in u(m) is the L-BFGS direction of
-    :func:`_lbfgs_direction`, built from the closed-form gradient generator
-    A of :func:`_generator` and the restart's last MEMORY steps: the
-    accepted step's generator s = t H and the change in the generator
+    pure state. Steps are the unitaries of :func:`_cayley`, which keep the
+    mixture psi^T psi^* fixed; no eigendecomposition is taken. H in u(m)
+    is the L-BFGS direction of :func:`_lbfgs_direction`, built from the
+    closed-form gradient generator A of :func:`_generator` and the
+    restart's last MEMORY steps: the accepted step's generator s = t H and
     y = A_before - A_after, kept only when <s, y> > 0 (on the unitary group
-    as in Huang, Gallivan & Absil, SIAM J. Optim. 25, 1660 (2015)). H acts
-    on the left, so a stored pair carries over to the new point as it is.
-    H falls back to A when it is not a descent direction
-    (1/2 Re tr(A^dag H) <= 0). An Armijo backtracking line search from
-    t = 1 picks t. Each restart keeps its own memory, line search, stall
-    count and stop rule, and leaves the active set when it stops, so it
-    follows the same path it would follow alone.
+    under any retraction, as in Huang, Gallivan & Absil, SIAM J. Optim. 25,
+    1660 (2015)). H acts on the left, so a stored pair carries over to the
+    new point as it is. H falls back to A when it is not a descent
+    direction (1/2 Re tr(A^dag H) <= 0). An Armijo backtracking line search
+    from t = 1 picks t. Each restart keeps its own memory, line search,
+    stall count and stop rule, and leaves the active set when it stops, so
+    it follows the same path it would follow alone.
 
     Returns (objective in bits, final rows (m, d), converged flag) of the
     best restart: the lowest value, then the lowest index.
@@ -148,9 +157,7 @@ def roof_descent(psi0, max_iter, tol_nats):
     stall = np.zeros(n, dtype=int)
     S, Y = np.zeros((2, n, MEMORY, 2 * m * m))
     rho, gamma = np.zeros((n, MEMORY)), np.ones(n)
-    f_out = np.empty(n)
-    psi_out = np.empty_like(psi)
-    converged = np.zeros(n, dtype=bool)
+    f_out, psi_out, converged = np.empty(n), np.empty_like(psi), np.zeros(n, dtype=bool)
     for _ in range(max_iter):
         if not len(idx):
             break
@@ -158,18 +165,14 @@ def roof_descent(psi0, max_iter, tol_nats):
         gnorm2 = 0.5 * np.einsum("...ij,...ij->...", A.conj(), A).real
         H, slope = _lbfgs_direction(A, gnorm2, S, Y, rho, gamma)
         stop = gnorm2 < 1e-22
-        # exp(t H) = U diag(e^{-itw}) U^dag, applied to psi in the eigenbasis.
-        w, U = np.linalg.eigh(1j * H)
-        C = U.conj().swapaxes(-1, -2) @ psi
-        jw = -1j * w
+        HP = H @ psi
         t = np.ones(len(idx))
         # Every trial steps every active restart; one that has passed its
         # Armijo test keeps its t, so its last trial repeats its accepted
         # step exactly.
         searching = ~stop
         for _ls in range(60):
-            phase = np.exp(t[:, None] * jw)[..., None]
-            psi_t = U @ (phase * C)
+            psi_t = _cayley(H, HP, psi, t)
             f_t, *terms = _entropy_terms(psi_t)
             searching &= ~(f_t < f - 1e-4 * t * slope)
             if not searching.any():
@@ -195,9 +198,8 @@ def roof_descent(psi0, max_iter, tol_nats):
         stall = np.where(dec < 0.01 * tol_nats, stall + 1, 0)
         stop = ~moved | (stall >= 3)
         if stop.any():
-            done = idx[stop]
+            done, keep = idx[stop], ~stop
             f_out[done], psi_out[done], converged[done] = f[stop], psi[stop], True
-            keep = ~stop
             idx, psi, f, stall, A, S, Y, rho, gamma, *terms = (
                 a[keep] for a in (idx, psi, f, stall, A, S, Y, rho, gamma, *terms)
             )
@@ -205,8 +207,6 @@ def roof_descent(psi0, max_iter, tol_nats):
     values = f_out / LN2
     best = int(np.argmin(values))
     return float(values[best]), psi_out[best], bool(converged[best])
-
-
 
 
 # --------------------------------------------------------------------------

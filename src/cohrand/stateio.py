@@ -101,6 +101,13 @@ def save_stream(stream: OutcomeStream, path) -> None:
     Path(path).write_text(format_stream(stream))
 
 
+def _integer(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, got {text.strip()!r}") from None
+
+
 def load_stream(path) -> OutcomeStream:
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("#"):
@@ -114,11 +121,19 @@ def load_stream(path) -> OutcomeStream:
     missing = sorted({"dim", "seed"} - header.keys())
     if missing:
         raise ValueError(f"stream header lacks {' and '.join(missing)}")
-    dim = int(header["dim"])
-    seed = int(header["seed"])
+    dim = _integer(header["dim"], "stream header dim")
+    seed = _integer(header["seed"], "stream header seed")
     if dim < 1:
         raise ValueError(f"stream header dim must be at least 1, got {dim}")
-    symbols = np.array([int(s) for s in lines[1:] if s.strip()], dtype=np.int64)
-    if np.any(symbols < 0) or np.any(symbols >= dim):
-        raise ValueError(f"stream contains symbols outside 0..{dim - 1}")
-    return OutcomeStream(symbols, dim, seed)
+    if dim > 2**63:  # symbols are int64
+        raise ValueError(f"stream header dim must be at most 2**63, got {dim}")
+    symbols = []
+    for number, line in enumerate(lines[1:], start=2):
+        if line.strip():
+            symbol = _integer(line, f"stream line {number}")
+            if not 0 <= symbol < dim:
+                raise ValueError(
+                    f"stream contains symbols outside 0..{dim - 1}: {symbol} on line {number}"
+                )
+            symbols.append(symbol)
+    return OutcomeStream(np.array(symbols, dtype=np.int64), dim, seed)

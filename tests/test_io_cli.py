@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cohrand import (
     DensityMatrix,
@@ -22,7 +24,7 @@ from cohrand import (
 from cohrand import cli
 from cohrand.cli import _emit, build_parser, main
 from cohrand.errors import NotFinite, NotPSD
-from cohrand.stateio import load_state, load_stream, save_state, save_stream
+from cohrand.stateio import format_stream, load_state, load_stream, save_state, save_stream
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -207,6 +209,14 @@ class TestStreamFiles:
         with pytest.raises(ValueError, match="at least 1"):
             load_stream(path)
 
+    def test_dim_beyond_int64_rejected(self, tmp_path):
+        # Its symbol 2**63 passed the range check and np.array raised
+        # OverflowError.
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# dim={2**64} seed=1\n{2**63}\n")
+        with pytest.raises(ValueError, match=r"at most 2\*\*63, got 18446744073709551616$"):
+            load_stream(path)
+
     def test_header_field_without_equals_is_named(self, tmp_path):
         # It once failed with dict()'s "dictionary update sequence" message.
         path = tmp_path / "bad.txt"
@@ -217,8 +227,111 @@ class TestStreamFiles:
     def test_out_of_range_symbols(self, tmp_path):
         path = tmp_path / "oob.txt"
         path.write_text("# dim=2 seed=0\n0\n5\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"outside 0\.\.1: 5 on line 3$"):
             load_stream(path)
+
+    @pytest.mark.parametrize(
+        "header,field,value",
+        [("# dim=x seed=1", "dim", "x"), ("# dim=2 seed=1.5", "seed", "1.5"), ("# dim= seed=1", "dim", "")],
+    )
+    def test_non_integer_header_field_is_named(self, header, field, value, tmp_path):
+        # It once failed with int()'s "invalid literal for int() with base 10".
+        path = tmp_path / "bad.txt"
+        path.write_text(header + "\n0\n")
+        with pytest.raises(ValueError, match=f"^stream header {field} must be an integer, got '{value}'$"):
+            load_stream(path)
+
+    def test_non_integer_symbol_names_its_line(self, tmp_path):
+        # Lines count from 1 at the header, blank lines included.
+        path = tmp_path / "bad.txt"
+        path.write_text("# dim=2 seed=1\n0\n\nfoo\n1\n")
+        with pytest.raises(ValueError, match="^stream line 4 must be an integer, got 'foo'$"):
+            load_stream(path)
+
+
+# Derandomized draws and a fixed example budget: every run draws the same
+# examples.
+STREAM_SETTINGS = settings(derandomize=True, max_examples=100, deadline=None, database=None)
+# Text that survives a round trip through a UTF-8 file.
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
+# One header field's value or one symbol line: no whitespace, no line break.
+TOKEN = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=12).filter(
+    lambda token: token.split() == [token] and token.splitlines() == [token]
+)
+
+
+def not_an_integer(token):
+    try:
+        int(token)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def streams(draw):
+    dim = draw(st.integers(1, 2**63))
+    symbols = draw(st.lists(st.integers(0, dim - 1), max_size=30))
+    return OutcomeStream(np.array(symbols, dtype=np.int64), dim, draw(st.integers(-(2**80), 2**80)))
+
+
+@pytest.fixture(scope="module")
+def stream_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("streams") / "stream.txt"
+
+
+def load_text(path, text):
+    path.write_text(text)
+    return load_stream(path)
+
+
+class TestStreamProperties:
+    @STREAM_SETTINGS
+    @given(streams())
+    def test_format_then_load_round_trips(self, stream_file, stream):
+        loaded = load_text(stream_file, format_stream(stream))
+        assert loaded.symbols.dtype == np.int64
+        assert np.array_equal(loaded.symbols, stream.symbols)
+        assert (loaded.source_dim, loaded.seed) == (stream.source_dim, stream.seed)
+
+    @STREAM_SETTINGS
+    @given(
+        st.one_of(TEXT, st.from_regex(r"# dim=-?[0-9]{1,2} seed=-?[0-9]{1,3}", fullmatch=True)),
+        st.lists(st.one_of(TEXT, st.integers(-3, 99).map(str)), max_size=5),
+    )
+    def test_any_text_loads_in_range_or_raises_value_error(self, stream_file, header, body):
+        # Whatever the file holds, load_stream returns a stream whose
+        # symbols lie in 0..dim-1, or raises ValueError and nothing else.
+        try:
+            stream = load_text(stream_file, "\n".join([header, *body]))
+        except ValueError:
+            return
+        assert stream.source_dim >= 1
+        assert all(0 <= s < stream.source_dim for s in stream.symbols)
+
+    @STREAM_SETTINGS
+    @given(st.sampled_from(["dim", "seed"]), TOKEN)
+    def test_non_integer_header_field_raises_value_error(self, stream_file, field, token):
+        assume(not_an_integer(token))
+        values = {"dim": "2", "seed": "1", field: token}
+        text = f"# dim={values['dim']} seed={values['seed']}\n0\n"
+        with pytest.raises(ValueError, match=f"^stream header {field} must be an integer"):
+            load_text(stream_file, text)
+
+    @STREAM_SETTINGS
+    @given(st.lists(st.integers(0, 2), max_size=5), TOKEN)
+    def test_non_integer_symbol_raises_value_error(self, stream_file, before, token):
+        assume(not_an_integer(token))
+        text = format_stream(OutcomeStream(np.array(before, dtype=np.int64), 3, 0)) + token + "\n"
+        with pytest.raises(ValueError, match=f"^stream line {len(before) + 2} must be an integer"):
+            load_text(stream_file, text)
+
+    @STREAM_SETTINGS
+    @given(st.integers(1, 2**63), st.integers(-(2**80), 2**80))
+    def test_out_of_range_symbol_raises_value_error(self, stream_file, dim, symbol):
+        assume(not 0 <= symbol < dim)
+        with pytest.raises(ValueError, match=f"outside 0\\.\\.{dim - 1}: {symbol} on line 3$"):
+            load_text(stream_file, f"# dim={dim} seed=0\n0\n{symbol}\n")
 
 
 class TestCli:

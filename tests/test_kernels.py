@@ -129,7 +129,7 @@ class TestRoofDescent:
         # the line search fails and the restart stops where it stands. So
         # a budget one iteration short of that stop returns the same rows,
         # unconverged. A zero tolerance switches the stall stop off, which
-        # would otherwise stop the L-BFGS descent first (at 1.2e-14), and
+        # would otherwise stop the L-BFGS descent first (at 5.7e-13), and
         # the gradient there is above the 1e-22 stop.
         bt = support_rows(DensityMatrix(np.diag([0.25, 0.75]).astype(complex)))
         psi0 = self.random_stack(2, 1, seed=2) @ bt
@@ -146,12 +146,12 @@ class TestRoofDescent:
         assert 0.5 * np.sum(np.abs(A) ** 2) > 1e-22
 
     def test_stays_an_isometry_to_max_iterations(self):
-        # Each accepted step multiplies the rows by U diag(phase) U^dag, a
-        # unitary applied as two products, so they stay W @ B for an
-        # isometry W and still mix to rho. A d = 4 product of qubits that
-        # runs its whole budget of them still returns such rows: its
-        # restarts stop on a failed line search after 281-350 iterations. A
-        # zero tolerance switches the stall stop off.
+        # Each accepted step multiplies the rows by a Cayley transform, a
+        # unitary applied as one solve, so they stay W @ B for an isometry
+        # W and still mix to rho. A d = 4 product of qubits that runs its
+        # whole budget of them still returns such rows: its restarts stop
+        # on a failed line search after 298-373 iterations. A zero
+        # tolerance switches the stall stop off.
         a, b = (random_density(2, 2, seed=s) for s in (10, 11))
         rho = DensityMatrix(np.kron(a.mat, b.mat))
         psi0 = self.random_stack(4, 4, 11) @ support_rows(rho)
@@ -159,16 +159,69 @@ class TestRoofDescent:
         assert not converged
         assert np.max(np.abs(psi.T @ psi.conj() - rho.mat)) < 1e-12
 
+    def test_rows_of_a_d6_product_mix_to_rho_over_a_full_budget(self):
+        # rho35 (x) (0.6 rho36 (+) 0.4 |2><2|), rho_s = random_density(2, 2, s),
+        # has rank 6, so m = 36. Its restart stops on a failed line search
+        # after 1328 iterations; over a budget of 1000 Cayley steps the
+        # rows still mix to rho.
+        b = np.zeros((3, 3), dtype=complex)
+        b[:2, :2] = 0.6 * random_density(2, 2, seed=36).mat
+        b[2, 2] = 0.4
+        rho = np.kron(random_density(2, 2, seed=35).mat, b)
+        psi0 = self.random_stack(6, 1, seed=6) @ support_rows(DensityMatrix(rho))
+        value, psi, converged = _kernels.roof_descent(psi0, 1000, 0.0)
+        assert not converged
+        assert np.max(np.abs(psi.T @ psi.conj() - rho)) < 1e-12
+
+    def test_takes_no_eigendecomposition(self, monkeypatch):
+        # Each line-search trial is one batched solve; nothing in the
+        # descent diagonalises its direction.
+        calls = []
+        eigh = np.linalg.eigh
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return eigh(*args, **kwargs)
+
+        rho = random_density(3, 3, seed=3)
+        psi0 = self.random_stack(3, 4, seed=3) @ support_rows(rho)
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        value, psi, converged = _kernels.roof_descent(psi0, 2000, TOL_NATS)
+        assert converged and not calls
+        assert np.max(np.abs(psi.T @ psi.conj() - rho.mat)) < 1e-12
+
     @pytest.mark.parametrize("d,seed,max_iter", [(2, 41, 20), (3, 40, 32)])
     def test_restarts_stay_independent_on_max_iter(self, d, seed, max_iter):
-        # A budget between the restarts' own iteration counts (17-28 at
-        # d = 2, 31-34 at d = 3): some stop on max_iter, unconverged,
+        # A budget between the restarts' own iteration counts (18-30 at
+        # d = 2, 30-36 at d = 3): some stop on max_iter, unconverged,
         # while the others converge.
         bt = support_rows(random_density(d, d, seed=seed))
         psi0 = self.random_stack(d, 5, seed=seed + 10) @ bt
         singles = assert_batch_matches_single_restarts(psi0, max_iter)
         flags = [converged for _, _, converged in singles]
         assert any(flags) and not all(flags)
+
+
+class TestCayley:
+    @pytest.mark.parametrize("d,seed", [(2, 3), (3, 5), (4, 2)])
+    def test_agrees_with_the_exponential_to_second_order(self, d, seed):
+        # The Cayley step I + tH + t^2 H^2 / 2 + t^3 H^3 / 4 + ... and
+        # exp(tH) differ by t^3 H^3 / 12 + O(t^4), so the error shrinks
+        # about 8x each time t halves, from t = 1 (|H| is about 0.5 here).
+        # Both steps are unitary, so the rows still mix to the same state.
+        bt, w0 = random_ensemble(d, seed)
+        psi = w0 @ bt
+        H = generator(psi)
+        t = 0.5 ** np.arange(6)
+        stack, Hs = (np.repeat(x[None], len(t), axis=0) for x in (psi, H))
+        steps = _kernels._cayley(Hs, Hs @ stack, stack, t)
+        w, U = np.linalg.eigh(1j * H)
+        exact = [U @ (np.exp(-1j * s * w)[:, None] * (U.conj().T @ psi)) for s in t]
+        errors = np.array([np.max(np.abs(a - b)) for a, b in zip(steps, exact)])
+        ratios = errors[:-1] / errors[1:]
+        assert np.all((ratios > 7.5) & (ratios < 8.5))
+        mixture = psi.T @ psi.conj()
+        assert max(np.max(np.abs(a.T @ a.conj() - mixture)) for a in steps) < 1e-14
 
 
 def memory(n, m):
