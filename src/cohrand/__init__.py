@@ -22,11 +22,9 @@ from .distill import (
     distill_exact,
     distill_simulate,
     log2_binomial,
-    sample_exact_outcomes,
 )
 from .measures import (
     MeasureId,
-    binary_entropy,
     c_l1,
     c_rel_ent,
     coherence_concurrence_qubit,

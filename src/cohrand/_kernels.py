@@ -200,8 +200,9 @@ def roof_descent(psi0, max_iter, tol_nats):
         if stop.any():
             done, keep = idx[stop], ~stop
             f_out[done], psi_out[done], converged[done] = f[stop], psi[stop], True
-            idx, psi, f, stall, A, S, Y, rho, gamma, *terms = (
-                a[keep] for a in (idx, psi, f, stall, A, S, Y, rho, gamma, *terms)
+            # terms is not compacted: the next trial replaces it unread.
+            idx, psi, f, stall, A, S, Y, rho, gamma = (
+                a[keep] for a in (idx, psi, f, stall, A, S, Y, rho, gamma)
             )
     f_out[idx], psi_out[idx] = f, psi
     values = f_out / LN2
@@ -214,16 +215,16 @@ def roof_descent(psi0, max_iter, tol_nats):
 # --------------------------------------------------------------------------
 
 
-def qubit_grid_min(b00, b01, b10, b11, grid_n):
+def qubit_grid_min(b, grid_n):
     """Grid minimum, in bits, of the roof objective over 2x2 mixing
-    unitaries applied to the eigendecomposition rows b0 = (b00, b01) and
-    b1 = (b10, b11). The grid spans the two angles that move the objective,
+    unitaries applied to the eigendecomposition rows b0, b1 of the (2, 2)
+    array b. The grid spans the two angles that move the objective,
     grid_n points each: the rows cos a b0 - e^{ic} sin a b1 and
     sin a b0 + e^{ic} cos a b1, with a in [0, pi/2) and c in [0, 2 pi). A
     phase on a whole output row moves none of its |amplitude|^2."""
     a = 0.5 * math.pi * np.arange(grid_n)[:, None, None] / grid_n
     ec = np.exp(2j * math.pi * np.arange(grid_n) / grid_n)[:, None]
-    b0, b1 = np.array([b00, b01]), np.array([b10, b11])
+    b0, b1 = b
     c, s = np.cos(a), np.sin(a)
     q = np.abs(np.stack([c * b0 - ec * s * b1, s * b0 + ec * c * b1], axis=-2)) ** 2
     # -sum q ln q + p ln p = sum q ln(p / q); a vanishing q adds its limit, 0.

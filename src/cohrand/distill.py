@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import TooLarge
 from .measures import r_pure
-from .states import PureState
+from .states import PureState, _draw_outcomes
 
 EXACT_MODE_MAX_QUBITS = 20
 LN2 = math.log(2.0)
@@ -122,13 +122,6 @@ def distill_exact(psi: PureState, n_copies: int) -> ExactRun:
     return ExactRun(n_copies, probs, indices, states)
 
 
-def sample_exact_outcomes(run: ExactRun, shots: int, seed: int) -> np.ndarray:
-    """Measured outcome counts over `shots` repetitions of the subspace
-    projection."""
-    rng = np.random.default_rng(seed)
-    return rng.multinomial(shots, run.probabilities / run.probabilities.sum())
-
-
 def distill_simulate(psi: PureState, n_copies: int, n_groups: int, seed: int) -> DistillationReport:
     """Bookkeeping mode: sample one subspace outcome per group by inverse
     CDF, accumulate log2 dimensions, and round the pooled dimension down to
@@ -138,10 +131,7 @@ def distill_simulate(psi: PureState, n_copies: int, n_groups: int, seed: int) ->
     alpha, beta = _qubit_amplitudes(psi)
     p0 = abs(alpha) ** 2
     probs, log2_d = binomial_outcome_distribution(n_copies, p0)
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
-    rng = np.random.default_rng(seed)
-    sampled = np.searchsorted(cdf, rng.random(n_groups), side="right")
+    sampled = _draw_outcomes(probs, n_groups, seed)
     total = float(np.sum(log2_d[sampled]))
     r = int(math.floor(total + 1e-12))
     randomness = r_pure(psi)

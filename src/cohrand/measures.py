@@ -34,13 +34,6 @@ class MeasureId(str, Enum):
     QUBIT_ANALYTIC = "qubit_analytic"
 
 
-def binary_entropy(p: float) -> float:
-    """H(p) in bits with the 0 log 0 = 0 convention."""
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
-
-
 def c_rel_ent_values(mats: np.ndarray) -> np.ndarray:
     """Relative-entropy coherence S(rho^diag) - S(rho) of each matrix.
 

@@ -15,7 +15,7 @@ import numpy as np
 from ._kernels import toeplitz_gf2
 from .errors import RateOutOfRange
 from .distill import distill_simulate
-from .states import OutcomeStream, PureState, shannon_entropy
+from .states import OutcomeStream, PureState, _draw_outcomes, shannon_entropy
 
 DEFAULT_RATE_MARGIN = 0.02
 
@@ -53,10 +53,7 @@ def sample_measurement(psi: PureState, n: int, seed: int) -> OutcomeStream:
     if n < 1:
         raise ValueError("need n >= 1")
     p = psi.probabilities()
-    cdf = np.cumsum(p / p.sum())
-    cdf[-1] = 1.0
-    rng = np.random.default_rng(seed)
-    symbols = np.searchsorted(cdf, rng.random(n), side="right")
+    symbols = _draw_outcomes(p / p.sum(), n, seed)
     return OutcomeStream(symbols.astype(np.int64, copy=False), psi.dim, seed)
 
 

@@ -142,4 +142,4 @@ def brute_force_roof_qubit(rho: DensityMatrix, grid_n: int) -> float:
     b = _support_rows(rho)
     if b.shape[0] == 1:
         return r_pure(PureState(b[0]))
-    return _kernels.qubit_grid_min(*b.ravel(), grid_n)
+    return _kernels.qubit_grid_min(b, grid_n)

@@ -14,6 +14,7 @@ header line followed by one symbol per line.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Union
 
@@ -32,11 +33,27 @@ from .states import (
 LAYOUTS = ("entries", "amplitudes", "bloch")
 
 
-def _complex_array(pairs, what: str) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
+def _number(value, what: str) -> float:
+    """A JSON number as a float: the number check of every layout. Types are
+    checked exactly, since JSON true and false load as bool, a subclass of
+    int. An integer beyond float range reads as +-inf, as 1e400 does."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must hold only numbers, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _complex_array(pairs, what: str, count: int) -> np.ndarray:
+    if not isinstance(pairs, list) or not all(isinstance(z, list) and len(z) == 2 for z in pairs):
         raise ValueError(f"{what} must be a list of [re, im] pairs")
-    return arr[:, 0] + 1j * arr[:, 1]
+    if len(pairs) != count:
+        raise ValueError(f"expected {count} {what}, got {len(pairs)}")
+    arr = np.array([[_number(x, what) for x in z] for z in pairs])
+    # 1j * inf meets 0 * inf; the NaN it leaves fails as NotFinite.
+    with np.errstate(invalid="ignore"):
+        return arr[:, 0] + 1j * arr[:, 1]
 
 
 def _dim(data: dict) -> int:
@@ -59,19 +76,13 @@ def load_state(path) -> Union[DensityMatrix, PureState]:
         raise ValueError(f"state file needs one of: {', '.join(LAYOUTS)}{found}")
     if "bloch" in data:
         n = data["bloch"]
-        if not isinstance(n, list) or len(n) != 3 or any(type(c) not in (int, float) for c in n):
+        if not isinstance(n, list) or len(n) != 3:
             raise ValueError("bloch must be a list of three real numbers")
-        return bloch_to_density(n)
+        return bloch_to_density([_number(c, "bloch") for c in n])
     dim = _dim(data)
     if "amplitudes" in data:
-        amps = _complex_array(data["amplitudes"], "amplitudes")
-        if amps.shape[0] != dim:
-            raise ValueError(f"expected {dim} amplitudes, got {amps.shape[0]}")
-        return pure_state(amps)
-    flat = _complex_array(data["entries"], "entries")
-    if flat.shape[0] != dim * dim:
-        raise ValueError(f"expected {dim * dim} entries, got {flat.shape[0]}")
-    return validate_density(flat.reshape(dim, dim))
+        return pure_state(_complex_array(data["amplitudes"], "amplitudes", dim))
+    return validate_density(_complex_array(data["entries"], "entries", dim * dim).reshape(dim, dim))
 
 
 def _pairs(values: np.ndarray):

@@ -169,6 +169,14 @@ def shannon_entropy(p) -> float:
     return float(entropy_bits(p))
 
 
+def _draw_outcomes(probs: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """n i.i.d. outcome indices of the distribution probs, by inverse CDF
+    over ``default_rng(seed).random(n)``, with the CDF's last value set to 1."""
+    cdf = np.cumsum(probs)
+    cdf[-1] = 1.0
+    return np.searchsorted(cdf, np.random.default_rng(seed).random(n), side="right")
+
+
 def bloch_to_density(n) -> DensityMatrix:
     """rho = (I + n_x sigma_x + n_y sigma_y + n_z sigma_z) / 2."""
     nx, ny, nz = (float(v) for v in n)

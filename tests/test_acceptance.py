@@ -23,7 +23,6 @@ from scipy.stats import binom
 
 from cohrand import (
     RoofConfig,
-    binary_entropy,
     brute_force_roof_qubit,
     c_l1,
     c_rel_ent,
@@ -42,8 +41,8 @@ from cohrand import (
     random_density,
     regularized_roof_estimate,
     run_property_suite,
-    sample_exact_outcomes,
 )
+from oracles import binary_entropy, sample_exact_outcomes
 
 
 # One verdict line per criterion; conftest.py echoes these in the terminal

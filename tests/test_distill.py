@@ -8,16 +8,15 @@ import pytest
 from scipy.stats import binom
 
 from cohrand import (
-    binary_entropy,
     binomial_outcome_distribution,
     distill_exact,
     distill_simulate,
     log2_binomial,
     maximally_coherent_state,
     pure_state,
-    sample_exact_outcomes,
 )
 from cohrand.errors import TooLarge
+from oracles import binary_entropy, sample_exact_outcomes
 
 
 def unbalanced_qubit(p0=0.8):

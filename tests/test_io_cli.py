@@ -1,6 +1,8 @@
 """State-file round trips and the batch command line interface."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -23,8 +25,15 @@ from cohrand import (
 )
 from cohrand import cli
 from cohrand.cli import _emit, build_parser, main
-from cohrand.errors import NotFinite, NotPSD
-from cohrand.stateio import format_stream, load_state, load_stream, save_state, save_stream
+from cohrand.errors import CohrandError, NotFinite, NotPSD
+from cohrand.stateio import (
+    LAYOUTS,
+    format_stream,
+    load_state,
+    load_stream,
+    save_state,
+    save_stream,
+)
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -62,6 +71,53 @@ OVERFLOWING = {
         "max |rho_ij - conj(rho_ji)| = inf > 1.0e-10",
     ),
 }
+
+# State-file numbers that are not JSON numbers or lie beyond float range.
+# Each once escaped load_state as a TypeError or an OverflowError, loaded
+# as a number, or printed a numpy warning ahead of the JSON error:
+# (file text, error, message).
+HUGE = "1" + "0" * 400
+NOT_NUMBERS = {
+    "object_entry": (
+        '{"dim": 1, "entries": [[1, {}]]}',
+        "ValueError",
+        "entries must hold only numbers, got {}",
+    ),
+    "huge_int_entry": (
+        f'{{"dim": 1, "entries": [[{HUGE}, 0]]}}',
+        "NotFinite",
+        "density matrix has a NaN or infinite entry",
+    ),
+    "huge_int_bloch": (
+        f'{{"bloch": [-{HUGE}, 0, 0]}}',
+        "NotFinite",
+        "Bloch vector has a NaN or infinite entry",
+    ),
+    "string_amplitudes": (
+        '{"dim": 1, "amplitudes": [["1", "0"]]}',
+        "ValueError",
+        "amplitudes must hold only numbers, got '1'",
+    ),
+    "boolean_entry": (
+        '{"dim": 1, "entries": [[true, 0]]}',
+        "ValueError",
+        "entries must hold only numbers, got True",
+    ),
+    "string_beyond_float_range": (
+        '{"dim": 1, "entries": [[1, "1e400"]]}',
+        "ValueError",
+        "entries must hold only numbers, got '1e400'",
+    ),
+    "infinite_imaginary_part": (
+        '{"dim": 1, "entries": [[1, 1e400]]}',
+        "NotFinite",
+        "density matrix has a NaN or infinite entry",
+    ),
+}
+
+# Derandomized draws and a fixed example budget: every run of a property
+# test draws the same examples.
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 
 # Roof arguments out of range: argparse rejects each with exit code 2.
 ROOF_ARGS_OUT_OF_RANGE = (
@@ -177,6 +233,72 @@ class TestStateFiles:
             load_state(path)
 
 
+# Numbers a state file may hold: a few small ones that make up valid states,
+# any float (NaN and the infinities included, as json writes them), and
+# integers beyond float range.
+SMALL = st.sampled_from([0, 1, -1, 0.6, 0.8])
+HUGE_INTS = st.integers(2**1024, 2**1100).flatmap(lambda n: st.sampled_from([n, -n]))
+NUMBERS = st.one_of(SMALL, st.floats(), HUGE_INTS)
+# Any JSON value: numbers, strings, booleans, null, and lists and objects.
+VALUES = st.recursive(
+    st.one_of(NUMBERS, st.text(max_size=4), st.booleans(), st.none()),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner),
+    max_leaves=4,
+)
+
+
+@st.composite
+def state_texts(draw):
+    """A state file's text: a JSON object in one of the three layouts whose
+    numbers are all SMALL, all NUMBERS or each any of VALUES. Now and then
+    its field is one item short or long, a second layout joins it, or the
+    text is cut short."""
+    number = draw(st.sampled_from([SMALL, NUMBERS, VALUES]))
+    layout = draw(st.sampled_from(LAYOUTS))
+    dim = draw(st.integers(1, 3))
+    size = {"entries": dim * dim, "amplitudes": dim, "bloch": 3}[layout]
+    size = max(size + draw(st.sampled_from([0, 0, 0, -1, 1])), 0)
+    item = number if layout == "bloch" else st.lists(number, min_size=2, max_size=2)
+    document = {layout: draw(st.lists(item, min_size=size, max_size=size))}
+    if layout != "bloch":
+        document["dim"] = dim
+    if draw(st.integers(0, 5)) == 5:
+        document[draw(st.sampled_from(LAYOUTS))] = document[layout]
+    text = json.dumps(document)
+    return text[: draw(st.integers(0, len(text)))] if draw(st.integers(0, 5)) == 5 else text
+
+
+@pytest.fixture(scope="module")
+def state_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("states") / "state.json"
+
+
+class TestStateProperties:
+    @PROPERTY_SETTINGS
+    @given(state_texts())
+    def test_load_raises_only_named_errors(self, state_file, text):
+        state_file.write_text(text)
+        try:
+            load_state(state_file)
+        except (CohrandError, ValueError):
+            pass
+
+    @PROPERTY_SETTINGS
+    @given(state_texts())
+    def test_measures_exits_zero_or_three(self, state_file, text):
+        # Exit 0 prints one JSON object; exit 3 prints one on stderr and
+        # nothing on stdout. A numpy warning is raised as an error here, and
+        # main does not catch it.
+        state_file.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["measures", str(state_file)])
+        assert code in (0, 3)
+        printed, silent = (out, err) if code == 0 else (err, out)
+        assert isinstance(json.loads(printed.getvalue()), dict)
+        assert silent.getvalue() == ""
+
+
 class TestStreamFiles:
     def test_round_trip(self, tmp_path):
         stream = OutcomeStream(np.array([0, 1, 1, 0], dtype=np.int64), 2, 7)
@@ -249,9 +371,6 @@ class TestStreamFiles:
             load_stream(path)
 
 
-# Derandomized draws and a fixed example budget: every run draws the same
-# examples.
-STREAM_SETTINGS = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 # Text that survives a round trip through a UTF-8 file.
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
 # One header field's value or one symbol line: no whitespace, no line break.
@@ -286,7 +405,7 @@ def load_text(path, text):
 
 
 class TestStreamProperties:
-    @STREAM_SETTINGS
+    @PROPERTY_SETTINGS
     @given(streams())
     def test_format_then_load_round_trips(self, stream_file, stream):
         loaded = load_text(stream_file, format_stream(stream))
@@ -294,7 +413,7 @@ class TestStreamProperties:
         assert np.array_equal(loaded.symbols, stream.symbols)
         assert (loaded.source_dim, loaded.seed) == (stream.source_dim, stream.seed)
 
-    @STREAM_SETTINGS
+    @PROPERTY_SETTINGS
     @given(
         st.one_of(TEXT, st.from_regex(r"# dim=-?[0-9]{1,2} seed=-?[0-9]{1,3}", fullmatch=True)),
         st.lists(st.one_of(TEXT, st.integers(-3, 99).map(str)), max_size=5),
@@ -309,7 +428,7 @@ class TestStreamProperties:
         assert stream.source_dim >= 1
         assert all(0 <= s < stream.source_dim for s in stream.symbols)
 
-    @STREAM_SETTINGS
+    @PROPERTY_SETTINGS
     @given(st.sampled_from(["dim", "seed"]), TOKEN)
     def test_non_integer_header_field_raises_value_error(self, stream_file, field, token):
         assume(not_an_integer(token))
@@ -318,7 +437,7 @@ class TestStreamProperties:
         with pytest.raises(ValueError, match=f"^stream header {field} must be an integer"):
             load_text(stream_file, text)
 
-    @STREAM_SETTINGS
+    @PROPERTY_SETTINGS
     @given(st.lists(st.integers(0, 2), max_size=5), TOKEN)
     def test_non_integer_symbol_raises_value_error(self, stream_file, before, token):
         assume(not_an_integer(token))
@@ -326,7 +445,7 @@ class TestStreamProperties:
         with pytest.raises(ValueError, match=f"^stream line {len(before) + 2} must be an integer"):
             load_text(stream_file, text)
 
-    @STREAM_SETTINGS
+    @PROPERTY_SETTINGS
     @given(st.integers(1, 2**63), st.integers(-(2**80), 2**80))
     def test_out_of_range_symbol_raises_value_error(self, stream_file, dim, symbol):
         assume(not 0 <= symbol < dim)
@@ -380,6 +499,14 @@ class TestCli:
         assert out.returncode == 3 and out.stdout == ""
         error = {"error": name, "message": message, "command": "measures"}
         assert json.loads(out.stderr) == error
+
+    @pytest.mark.parametrize("case", NOT_NUMBERS)
+    def test_non_number_is_a_structured_error(self, case, tmp_path, capsys):
+        text, name, message = NOT_NUMBERS[case]
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["measures", str(path)]) == 3
+        assert cli_error(capsys) == {"error": name, "message": message, "command": "measures"}
 
     def test_unreadable_input_is_a_structured_error(self, tmp_path, capsys):
         assert main(["roof", str(tmp_path / "missing.json")]) == 3

@@ -323,8 +323,8 @@ class TestQubitGrid:
         rho = random_density(2, 2, 2)
         b = support_rows(rho)
         exact = r_qubit_analytic(rho)
-        coarse = _kernels.qubit_grid_min(b[0, 0], b[0, 1], b[1, 0], b[1, 1], 24)
-        fine = _kernels.qubit_grid_min(b[0, 0], b[0, 1], b[1, 0], b[1, 1], 96)
+        coarse = _kernels.qubit_grid_min(b, 24)
+        fine = _kernels.qubit_grid_min(b, 96)
         assert exact - 1e-9 <= fine <= coarse
         assert fine == pytest.approx(exact, abs=1e-3)
 
@@ -341,7 +341,7 @@ class TestQubitGrid:
             q = [np.abs(u0 * b[0, k] + u1 * b[1, k]) ** 2 for k in (0, 1)]
             total = total - sum(x * np.log(x) for x in q) + sum(q) * np.log(sum(q))
         assert total.shape == (n, n, n)
-        grid = _kernels.qubit_grid_min(b[0, 0], b[0, 1], b[1, 0], b[1, 1], n)
+        grid = _kernels.qubit_grid_min(b, n)
         assert grid == pytest.approx(total.min() / math.log(2.0), abs=1e-12)
 
 

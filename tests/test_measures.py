@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from cohrand import (
     basis_state,
-    binary_entropy,
     bloch_to_density,
     c_l1,
     c_rel_ent,
@@ -26,6 +25,7 @@ from cohrand import (
 from cohrand.errors import DimensionNot2
 from cohrand.measures import c_l1_values, c_rel_ent_values, r_qubit_analytic_values
 from cohrand.states import DensityMatrix
+from oracles import binary_entropy
 
 # Frozen values from an independent Nelder-Mead minimization of the quantum
 # relative entropy S(rho || sigma) over diagonal sigma (6 restarts each,

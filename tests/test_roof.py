@@ -254,15 +254,16 @@ class TestOptimizeRoof:
         assert result.converged
         assert result.value == pytest.approx(exact, abs=1e-7)
 
-    def test_dominates_rel_ent_in_dimension_three(self):
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_dominates_rel_ent_in_dimension(self, d):
         # The roof value upper-estimates the true minimum, which itself
         # dominates the relative-entropy measure; and it never exceeds the
         # average randomness of the eigendecomposition.
         for i in range(5):
-            rho = random_density(3, 3, seed=30 + i)
+            rho = random_density(d, d, seed=30 + i)
             result = optimize_roof(rho, RoofConfig(restarts=8, seed=i))
             eigen_avg = roof_objective(
-                decomposition_from_isometry(rho, np.eye(3, dtype=complex))
+                decomposition_from_isometry(rho, np.eye(d, dtype=complex))
             )
             assert c_rel_ent(rho) - 1e-6 <= result.value <= eigen_avg + 1e-9
 
