@@ -13,8 +13,10 @@ class NotHermitian(StateValidationError):
     pass
 
 
-class TraceNotOne(StateValidationError):
-    pass
+class TraceNotOne(StateValidationError, ValueError):
+    """Tr rho, or a pure state's squared norm sum |a_i|^2 = tr|psi><psi|, is
+    not 1. Also a ValueError, like NotFinite, so a caller that catches
+    ValueError for a bad state file still catches it."""
 
 
 class NotPSD(StateValidationError):
@@ -22,8 +24,8 @@ class NotPSD(StateValidationError):
 
 
 class NotFinite(StateValidationError, ValueError):
-    """An entry is NaN or infinite. Also a ValueError, which the pure-state
-    and Bloch-vector parsers raise for their other invariants."""
+    """An entry is NaN or infinite. Also a ValueError, which the Bloch-vector
+    parser raises for its other invariants."""
 
 
 class DimensionNot2(CohrandError):

@@ -7,6 +7,13 @@ eigendecomposition rows B; the optimizer draws its starts that way and runs
 a multi-start descent on the rows themselves, also on two copies of rho for
 a regularized estimate. A brute-force grid over 2x2 mixing unitaries serves
 as an independent qubit oracle.
+
+The measure is additive over direct sums (Yu, Zhang, Xu & Tong, PRA 94,
+060302(R) (2016)): when rho_ij = 0 whenever i and j lie in different
+blocks B_k of the computational basis, R(rho) = sum_k w_k R(rho_k) with
+w_k = tr(P_k rho) and rho_k = P_k rho P_k / w_k. The optimizer splits rho
+along those blocks, found from exact zeros only, and gives each block its
+own roof.
 """
 
 from __future__ import annotations
@@ -47,6 +54,16 @@ class RoofConfig:
 
 @dataclass(frozen=True)
 class RoofResult:
+    """The roof value, its ensemble, whether every descent converged, and
+    the restarts each descent ran (0 when no descent ran).
+
+    A rho that splits into blocks of ranks r_k (see :func:`optimize_roof`)
+    has one ensemble per block, so ``best_decomposition`` holds
+    sum_k r_k^2 members instead of r^2, and ``cohrand roof`` prints that
+    many; ``converged`` is the AND over the blocks, and ``restarts_used``
+    is ``config.restarts`` when any block descended, else 0.
+    """
+
     value: float
     best_decomposition: Decomposition
     converged: bool
@@ -97,6 +114,45 @@ def roof_objective(decomp: Decomposition) -> float:
     return float(decomp.weights @ entropy_bits(q / q.sum(axis=1, keepdims=True)))
 
 
+def _blocks(mat: np.ndarray) -> Optional[list]:
+    """Index arrays of the computational-basis blocks of rho, or None when
+    there is one: the connected components of the graph with an edge
+    wherever rho_ij != 0 or rho_ji != 0 (a validated rho is Hermitian only
+    to a tolerance). Only exact zeros separate blocks; a tolerance would
+    move the value by a continuity bound instead of keeping it exact."""
+    linked = (mat != 0) | (mat.T != 0)
+    if linked.all():
+        return None
+    # Squaring the reachability matrix doubles the path length it covers,
+    # so it stops growing within log2(d) products.
+    reach = linked | np.eye(len(mat), dtype=bool)
+    while not np.array_equal(grown := reach @ reach, reach):
+        reach = grown
+    # A block's lowest basis index is the first one its rows reach.
+    lowest = np.flatnonzero(reach.argmax(axis=1) == np.arange(len(mat)))
+    if len(lowest) == 1:
+        return None
+    return [np.flatnonzero(reach[k]) for k in lowest]
+
+
+def _block_rows(rho: DensityMatrix, config: RoofConfig):
+    """Ensemble rows of one block, whether its descent converged and
+    whether one ran: a rank-1 rho is its own one-member ensemble."""
+    b = _support_rows(rho)
+    r = b.shape[0]
+    if r == 1:
+        return b, True, False
+    m = r * r
+    tol_nats = config.tolerance * _kernels.LN2
+    g = np.empty((config.restarts, m, r), dtype=complex)
+    for i, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.restarts)):
+        rng = np.random.default_rng(child)
+        g[i] = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
+    w0, _ = np.linalg.qr(g)
+    _, psi, converged = _kernels.roof_descent(w0 @ b, config.max_iterations, tol_nats)
+    return psi, converged, True
+
+
 def optimize_roof(rho: DensityMatrix, config: RoofConfig = RoofConfig()) -> RoofResult:
     """Minimize the roof objective over m = r^2 element decompositions, the
     size that always attains a rank-r roof (Uhlmann, OSID 5, 209 (1998)).
@@ -106,24 +162,37 @@ def optimize_roof(rho: DensityMatrix, config: RoofConfig = RoofConfig()) -> Roof
     descend in one batched kernel call, and the best is taken by lowest
     value, then lowest restart index. The returned value is an upper
     estimate of the true roof (the descent approaches it from above).
+
+    A rho whose entries vanish exactly between blocks B_k of the basis is
+    split first, by the direct-sum identity R(rho) = sum_k w_k R(rho_k)
+    (module docstring). Each block rho_k of weight w_k > 0 gets the path
+    above with the same config, or is its own ensemble at rank 1, and its
+    rows, scaled by sqrt(w_k), are embedded back into C^d. A rho of one
+    block takes that path on the whole of rho.
     """
     if config.restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {config.restarts}")
-    b = _support_rows(rho)
-    r = b.shape[0]
-    if r == 1:
-        decomp = _ensemble(rho, b)
-        return RoofResult(roof_objective(decomp), decomp, True, 0)
-    m = r * r
-    tol_nats = config.tolerance * _kernels.LN2
-    g = np.empty((config.restarts, m, r), dtype=complex)
-    for i, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.restarts)):
-        rng = np.random.default_rng(child)
-        g[i] = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
-    w0, _ = np.linalg.qr(g)
-    _, psi, converged = _kernels.roof_descent(w0 @ b, config.max_iterations, tol_nats)
+    blocks = _blocks(rho.mat)
+    if blocks is None:
+        psi, converged, descended = _block_rows(rho, config)
+    else:
+        parts, converged, descended = [], True, False
+        for idx in blocks:
+            sub = rho.mat[np.ix_(idx, idx)]
+            w = float(np.trace(sub).real)
+            if w <= 0:  # a zero diagonal entry of a PSD rho: no member lies here
+                continue
+            rows, block_converged, block_descended = _block_rows(DensityMatrix(sub / w), config)
+            part = np.zeros((len(rows), rho.dim), dtype=complex)
+            part[:, idx] = np.sqrt(w) * rows
+            parts.append(part)
+            converged &= block_converged
+            descended |= block_descended
+        psi = np.concatenate(parts)
     decomp = _ensemble(rho, psi)
-    return RoofResult(roof_objective(decomp), decomp, converged, config.restarts)
+    return RoofResult(
+        roof_objective(decomp), decomp, converged, config.restarts if descended else 0
+    )
 
 
 def regularized_roof_estimate(rho: DensityMatrix, config: Optional[RoofConfig] = None) -> float:

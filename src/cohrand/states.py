@@ -116,13 +116,14 @@ def validate_density(m) -> DensityMatrix:
 
 
 def pure_state(amps) -> PureState:
-    """Validate a raw complex vector as a unit-norm pure state."""
+    """Validate a raw complex vector as a unit-norm pure state. A squared
+    norm off 1 raises TraceNotOne, since tr|psi><psi| = sum |a_i|^2."""
     amps = np.asarray(amps, dtype=complex).ravel()
     _require_finite(amps, "amplitude vector")
     with np.errstate(over="ignore"):  # an overflow reads inf and fails below
         norm_dev = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
     if norm_dev > NORM_TOL:
-        raise ValueError(f"|sum |a_i|^2 - 1| = {norm_dev:.3e} > {NORM_TOL:.1e}")
+        raise TraceNotOne(f"|sum |a_i|^2 - 1| = {norm_dev:.3e} > {NORM_TOL:.1e}")
     return PureState(amps)
 
 

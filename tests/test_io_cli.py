@@ -57,7 +57,7 @@ MALFORMED = {
 OVERFLOWING = {
     "amplitude_norm": (
         '{"dim": 2, "amplitudes": [[1e200, 0], [0, 0]]}',
-        "ValueError",
+        "TraceNotOne",
         "|sum |a_i|^2 - 1| = inf > 1.0e-12",
     ),
     "trace": (
@@ -507,6 +507,19 @@ class TestCli:
         path.write_text(text)
         assert main(["measures", str(path)]) == 3
         assert cli_error(capsys) == {"error": name, "message": message, "command": "measures"}
+
+    def test_unnormalized_amplitudes_are_trace_not_one(self, tmp_path, capsys):
+        # tr|psi><psi| = sum |a_i|^2 = 2: the error a density file with
+        # trace 2 gets.
+        path = tmp_path / "psi.json"
+        path.write_text('{"dim":2,"amplitudes":[[1,0],[1,0]]}')
+        assert main(["measures", str(path)]) == 3
+        error = cli_error(capsys)
+        assert error == {
+            "error": "TraceNotOne",
+            "message": "|sum |a_i|^2 - 1| = 1.000e+00 > 1.0e-12",
+            "command": "measures",
+        }
 
     def test_unreadable_input_is_a_structured_error(self, tmp_path, capsys):
         assert main(["roof", str(tmp_path / "missing.json")]) == 3

@@ -21,10 +21,11 @@ from cohrand import (
     random_density,
     regularized_roof_estimate,
     roof_objective,
+    validate_density,
 )
 from cohrand import roof
 from cohrand.errors import DimensionNot2, NotIsometry, RankMismatch, TooLarge
-from cohrand.roof import _support_rows
+from cohrand.roof import _blocks, _ensemble, _support_rows
 from cohrand.states import DensityMatrix, PureState
 
 
@@ -49,6 +50,66 @@ def direct_sum(*parts):
         mat[start:stop, start:stop] = p * sigma
         start = stop
     return mat, sum(p * value for p, (_, value) in parts)
+
+
+def unsplit_starts(rho, config):
+    """The descent's starts on the whole of rho, drawn as optimize_roof
+    draws them for a rho of one block: the QR of each restart's seeded
+    Gaussian, stacked, times rho's support rows."""
+    b = _support_rows(rho)
+    r = b.shape[0]
+    g = np.empty((config.restarts, r * r, r), dtype=complex)
+    for i, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.restarts)):
+        rng = np.random.default_rng(child)
+        g[i] = rng.standard_normal((r * r, r)) + 1j * rng.standard_normal((r * r, r))
+    return np.linalg.qr(g)[0] @ b
+
+
+# p sigma (+) (1 - p)|2><2| for (p, sigma seed, sigma rank): the four
+# block inputs of the benchmark's qudit panel.
+QUDIT_BLOCKS = ((0.7, 20, 2), (0.5, 21, 2), (0.3, 22, 2), (0.6, 23, 1))
+QUDIT_BLOCK_CASES = [f"block {s}" for _, s, _ in QUDIT_BLOCKS]
+# (a seed, b seed): products of rank-2 qubits, the panel's one-block inputs.
+QUDIT_PRODUCTS = ((12, 13), (14, 15), (10, 11))
+QUDIT_CONFIG = RoofConfig(restarts=4, seed=0)
+
+
+def qudit_block(p, sigma_seed, sigma_rank):
+    sigma = random_density(2, sigma_rank, seed=sigma_seed)
+    return direct_sum((p, (sigma.mat, r_qubit_analytic(sigma))), (1.0 - p, BASIS_BLOCK))
+
+
+def split_input(case):
+    """A block-diagonal input by name, "block <sigma seed>" or a d = 5, 6
+    case, with its exact value."""
+    for p, s, rank in QUDIT_BLOCKS:
+        if case == f"block {s}":
+            return qudit_block(p, s, rank)
+    return sums_in_dimensions_five_and_six(case)
+
+
+# The ranks of each split input's blocks.
+BLOCK_RANKS = {
+    "block 20": (2, 1),
+    "block 21": (2, 1),
+    "block 22": (2, 1),
+    "block 23": (1, 1),
+    "d5 sum": (2, 2, 1),
+    "d6 sum": (2, 2, 2),
+    "d6 product": (4, 2),
+}
+
+
+def sums_in_dimensions_five_and_six(case):
+    """The d = 5, 6 inputs with exact values, built from rank-2 qubits
+    rho_s = random_density(2, 2, s). All three are block-diagonal: blocks
+    {0,1}, {2,3}, {4}; {0,1}, {2,3}, {4,5}; and {0,1,3,4}, {2,5}."""
+    if case == "d5 sum":
+        return direct_sum((0.4, qubit(30)), (0.4, qubit(31)), (0.2, BASIS_BLOCK))
+    if case == "d6 sum":
+        return direct_sum((0.3, qubit(32)), (0.3, qubit(33)), (0.4, qubit(34)))
+    (a, value_a), (b, value_b) = qubit(35), direct_sum((0.6, qubit(36)), (0.4, BASIS_BLOCK))
+    return np.kron(a, b), value_a + value_b
 
 
 class TestDecompositionFromIsometry:
@@ -213,8 +274,8 @@ class TestOptimizeRoof:
     def test_exact_value_of_two_qubit_product(self, seeds):
         # The roof is additive (Winter & Yang, PRL 116, 120404 (2016)), so
         # the d = 4 value of a product of qubits is the sum of two analytic
-        # qubit values. 10 x 11 is the ill-conditioned one: steepest descent
-        # ran out of its 2000 iterations 5.2e-6 above the exact value.
+        # qubit values. 10 x 11 is the ill-conditioned one: its descent
+        # converges 1.04e-9 above the exact value.
         a, b = (random_density(2, 2, seed=s) for s in seeds)
         rho = DensityMatrix(np.kron(a.mat, b.mat))
         result = optimize_roof(rho, RoofConfig(restarts=4, max_iterations=2000))
@@ -254,6 +315,20 @@ class TestOptimizeRoof:
         assert result.converged
         assert result.value == pytest.approx(exact, abs=1e-7)
 
+    @pytest.mark.parametrize("case", ["d5 sum", "d6 sum", "d6 product"])
+    def test_unsplit_descent_in_dimensions_five_and_six(self, case):
+        # optimize_roof splits these block-diagonal inputs, so the test
+        # above descends blocks of d <= 4. Here the kernel descends the
+        # whole d = 5, 6 rho from its unsplit starts, to the same bound.
+        mat, exact = sums_in_dimensions_five_and_six(case)
+        config = RoofConfig(restarts=4)
+        starts = unsplit_starts(DensityMatrix(mat), config)
+        assert starts.shape[-1] == len(mat)
+        tol_nats = config.tolerance * _kernels.LN2
+        value, _, converged = _kernels.roof_descent(starts, config.max_iterations, tol_nats)
+        assert converged
+        assert value == pytest.approx(exact, abs=1e-7)
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_dominates_rel_ent_in_dimension(self, d):
         # The roof value upper-estimates the true minimum, which itself
@@ -266,6 +341,153 @@ class TestOptimizeRoof:
                 decomposition_from_isometry(rho, np.eye(d, dtype=complex))
             )
             assert c_rel_ent(rho) - 1e-6 <= result.value <= eigen_avg + 1e-9
+
+
+def criterion_one_qubits():
+    return [(random_density(2, 1 + i % 2, seed=1000 + i), RoofConfig(seed=i)) for i in range(200)]
+
+
+def qudit_products():
+    mats = (np.kron(qubit(a)[0], qubit(b)[0]) for a, b in QUDIT_PRODUCTS)
+    return [(DensityMatrix(mat), QUDIT_CONFIG) for mat in mats]
+
+
+def random_panel():
+    return [
+        (random_density(d, r, 40 + r + 100 * s), RoofConfig(seed=s))
+        for d in (3, 4)
+        for r in range(1, d + 1)
+        for s in (0, 1)
+    ]
+
+
+class TestBlockSplit:
+    """R(rho) = sum_k w_k R(rho_k) over the computational-basis blocks of
+    rho (Yu, Zhang, Xu & Tong, PRA 94, 060302(R) (2016)): optimize_roof
+    gives each block its own roof, and a rho of one block takes the
+    unsplit path."""
+
+    def test_blocks_are_the_connected_components_of_the_nonzeros(self):
+        chain = np.diag(np.full(5, 0.2)).astype(complex)
+        for i in range(3):  # only neighbours linked: 0-1-2-3 is one block
+            chain[i, i + 1] = chain[i + 1, i] = 0.05
+        assert [list(b) for b in _blocks(chain)] == [[0, 1, 2, 3], [4]]
+        chain[3, 4] = chain[4, 3] = 0.05
+        assert _blocks(chain) is None
+        assert _blocks(np.full((3, 3), 1 / 3, dtype=complex)) is None
+        interleaved = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
+        interleaved[0, 2] = interleaved[2, 0] = interleaved[3, 1] = interleaved[1, 3] = 0.1
+        assert [list(b) for b in _blocks(interleaved)] == [[0, 2], [1, 3]]
+        assert [list(b) for b in _blocks(np.diag([0.5, 0.0, 0.5]))] == [[0], [1], [2]]
+
+    def test_one_sided_entry_links_two_basis_states(self):
+        # Validation allows rho_01 = 1e-12 beside rho_10 = 0; both entries
+        # must vanish for 0 and 1 to lie in different blocks.
+        mat = np.diag([0.5, 0.3, 0.2]).astype(complex)
+        mat[0, 1] = 1e-12
+        rho = validate_density(mat)
+        assert [list(b) for b in _blocks(rho.mat)] == [[0, 1], [2]]
+        assert [list(b) for b in _blocks(rho.mat.T)] == [[0, 1], [2]]
+        result = optimize_roof(rho, RoofConfig(restarts=2))
+        assert np.max(np.abs(result.best_decomposition.mixture() - rho.mat)) <= 1e-12
+
+    def test_only_exact_zeros_split(self):
+        # A coherence of 1e-300 links two basis states as any other does.
+        mat = np.diag([0.5, 0.5]).astype(complex)
+        mat[0, 1] = mat[1, 0] = 1e-300
+        assert _blocks(mat) is None
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_diagonal_state_is_exactly_zero(self, d):
+        # Every block is one basis state: one member per nonzero diagonal
+        # entry, each a basis vector, and no descent.
+        rng = np.random.default_rng(d)
+        for r in range(1, d + 1):
+            diag = np.zeros(d)
+            support = rng.permutation(d)[:r]
+            diag[support] = rng.dirichlet(np.ones(r))
+            result = optimize_roof(DensityMatrix(np.diag(diag).astype(complex)))
+            assert result.value == 0.0
+            assert result.converged and result.restarts_used == 0
+            decomp = result.best_decomposition
+            assert len(decomp.weights) == r
+            assert sorted(np.flatnonzero(decomp.states).tolist()) == [
+                e * d + i for e, i in enumerate(sorted(support))
+            ]
+
+    @pytest.mark.parametrize("case", BLOCK_RANKS)
+    def test_split_ensemble_has_one_ensemble_per_block(self, case):
+        ranks = BLOCK_RANKS[case]
+        mat, _ = split_input(case)
+        rho = DensityMatrix(mat)
+        result = optimize_roof(rho, QUDIT_CONFIG)
+        decomp = result.best_decomposition
+        assert len(decomp.weights) == sum(r * r for r in ranks)
+        assert np.max(np.abs(decomp.mixture() - rho.mat)) <= 1e-12
+        assert result.value == pytest.approx(roof_objective(decomp), abs=1e-15)
+        # restarts_used counts the restarts when any block descended.
+        assert result.restarts_used == (QUDIT_CONFIG.restarts if max(ranks) > 1 else 0)
+
+    @pytest.mark.parametrize("case", [*QUDIT_BLOCK_CASES, "d5 sum", "d6 sum"])
+    def test_exact_value_of_split_inputs(self, case):
+        # Descending the blocks alone lands within rounding of exact; the
+        # whole rho's descent stopped up to 4.7e-10 above.
+        mat, exact = split_input(case)
+        result = optimize_roof(DensityMatrix(mat), QUDIT_CONFIG)
+        assert result.converged
+        assert abs(result.value - exact) <= 1e-12
+
+    def test_converged_is_the_and_over_blocks(self, monkeypatch):
+        # d6 sum has three rank-2 blocks, each with its own descent; the
+        # second one reports no convergence.
+        calls = []
+        descent = _kernels.roof_descent
+
+        def second_unconverged(*args):
+            value, psi, converged = descent(*args)
+            calls.append(args[0].shape)
+            return value, psi, converged and len(calls) != 2
+
+        monkeypatch.setattr(_kernels, "roof_descent", second_unconverged)
+        mat, _ = sums_in_dimensions_five_and_six("d6 sum")
+        result = optimize_roof(DensityMatrix(mat), QUDIT_CONFIG)
+        assert calls == [(4, 4, 2)] * 3
+        assert not result.converged
+        assert result.restarts_used == QUDIT_CONFIG.restarts
+
+    @pytest.mark.parametrize("panel", [criterion_one_qubits, qudit_products, random_panel])
+    def test_one_block_input_takes_the_unsplit_path(self, panel, monkeypatch):
+        # None of these inputs has a zero entry. The kernel must run once,
+        # on exactly the unsplit starts and settings, and the result must be
+        # its rows, value and flag, bit for bit; a rank-1 rho is its own
+        # ensemble, with no descent.
+        calls = []
+        descent = _kernels.roof_descent
+
+        def record(*args):
+            calls.append((args, descent(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(_kernels, "roof_descent", record)
+        for rho, config in panel():
+            calls.clear()
+            assert np.all(rho.mat != 0)
+            result = optimize_roof(rho, config)
+            if _support_rows(rho).shape[0] == 1:
+                assert calls == [] and result.restarts_used == 0 and result.converged
+                expected = _ensemble(rho, _support_rows(rho))
+            else:
+                [((starts, max_iter, tol_nats), (_, psi, converged))] = calls
+                assert np.array_equal(starts, unsplit_starts(rho, config))
+                assert max_iter == config.max_iterations
+                assert tol_nats == config.tolerance * _kernels.LN2
+                assert result.converged == converged
+                assert result.restarts_used == config.restarts
+                expected = _ensemble(rho, psi)
+            decomp = result.best_decomposition
+            assert np.array_equal(decomp.weights, expected.weights)
+            assert np.array_equal(decomp.states, expected.states)
+            assert result.value == roof_objective(expected)
 
 
 class TestBruteForceOracle:

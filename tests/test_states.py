@@ -93,6 +93,12 @@ class TestPureState:
         with pytest.raises(ValueError):
             pure_state([1.0, 1.0])
 
+    def test_norm_error_is_trace_not_one(self):
+        # tr|psi><psi| = sum |a_i|^2, so the density check's name fits.
+        for amps in ([1.0, 1.0], [0.5, 0.5j], [1e200, 0.0]):
+            with pytest.raises(TraceNotOne):
+                pure_state(amps)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(NotFinite):
