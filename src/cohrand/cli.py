@@ -28,7 +28,7 @@ from .measures import (
     r_pure,
     r_qubit_analytic,
 )
-from .rng import DEFAULT_RATE_MARGIN, pipeline_compare, sample_measurement
+from .rng import pipeline_compare, sample_measurement
 from .roof import RoofConfig, optimize_roof
 from .stateio import format_stream, load_state, pure_to_dict, save_stream
 from .states import DensityMatrix, PureState, pure_state
@@ -59,12 +59,17 @@ def _checked(parse, ok, rule):
 _unit_interval = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 _positive_int = _checked(int, lambda v: v >= 1, "at least 1")
 _seed = _checked(int, lambda v: v >= 0, "at least 0")
-_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and positive")
-_nonnegative_float = _checked(float, lambda v: math.isfinite(v) and v >= 0, "finite and at least 0")
 
 
 def _as_density(state) -> DensityMatrix:
     return state.projector() if isinstance(state, PureState) else state
+
+
+def _load_pure(args) -> PureState:
+    state = load_state(args.state)
+    if not isinstance(state, PureState):
+        raise ValueError(f"{args.command} needs a pure state file (amplitudes)")
+    return state
 
 
 def _cmd_measures(args) -> int:
@@ -86,13 +91,7 @@ def _cmd_measures(args) -> int:
 
 def _cmd_roof(args) -> int:
     rho = _as_density(load_state(args.state))
-    config = RoofConfig(
-        restarts=args.restarts,
-        max_iterations=args.max_iterations,
-        tolerance=args.tolerance,
-        seed=args.seed,
-    )
-    result = optimize_roof(rho, config)
+    result = optimize_roof(rho, RoofConfig(restarts=args.restarts, seed=args.seed))
     decomp = result.best_decomposition
     _emit(
         {
@@ -159,10 +158,7 @@ def _cmd_distill(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    state = load_state(args.state)
-    if not isinstance(state, PureState):
-        raise ValueError("sample needs a pure state file (amplitudes)")
-    stream = sample_measurement(state, args.n, args.seed)
+    stream = sample_measurement(_load_pure(args), args.n, args.seed)
     if args.out:
         save_stream(stream, args.out)
     else:
@@ -171,15 +167,11 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    state = load_state(args.state)
-    if not isinstance(state, PureState):
-        raise ValueError("pipeline needs a pure state file (amplitudes)")
     cmp = pipeline_compare(
-        state,
+        _load_pure(args),
         n_groups=args.groups,
         group_n=args.group_n,
         seed=args.seed,
-        margin=args.margin,
         entropy_mode=args.entropy,
     )
     _emit(dataclasses.asdict(cmp))
@@ -200,8 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roof", help="optimize the convex-roof randomness measure")
     p.add_argument("state")
     p.add_argument("--restarts", type=_positive_int, default=roof.restarts)
-    p.add_argument("--tolerance", type=_positive_float, default=roof.tolerance)
-    p.add_argument("--max-iterations", type=_positive_int, default=roof.max_iterations)
     p.add_argument("--seed", type=_seed, default=roof.seed)
     p.set_defaults(func=_cmd_roof)
 
@@ -236,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--groups", type=_positive_int, default=200)
     p.add_argument("--group-n", type=_positive_int, default=50)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--margin", type=_nonnegative_float, default=DEFAULT_RATE_MARGIN)
     p.add_argument("--entropy", choices=["shannon", "min"], default="shannon")
     p.set_defaults(func=_cmd_pipeline)
 

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import LN2
 from .errors import TooLarge
 from .measures import r_pure
 from .states import PureState, _draw_outcomes
 
 EXACT_MODE_MAX_QUBITS = 20
-LN2 = math.log(2.0)
 
 # math.lgamma mapped over arrays, which keeps scipy off the import path.
 _lgamma = np.frompyfunc(math.lgamma, 1, 1)

@@ -17,7 +17,7 @@ from .errors import RateOutOfRange
 from .distill import distill_simulate
 from .states import OutcomeStream, PureState, _draw_outcomes, shannon_entropy
 
-DEFAULT_RATE_MARGIN = 0.02
+RATE_MARGIN = 0.02
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,10 @@ def pipeline_compare(
     n_groups: int,
     group_n: int,
     seed: int,
-    margin: float = DEFAULT_RATE_MARGIN,
     entropy_mode: str = "shannon",
 ) -> PipelineComparison:
-    """Path A: measure every copy, then hash down at (entropy - margin).
+    """Path A: measure every copy, then hash down at (entropy - RATE_MARGIN)
+    bits per copy, the entropy being Shannon's or, for "min", the min-entropy.
     Path B: distill first, then measure the maximally coherent copies.
 
     Both paths consume n_groups * group_n copies of psi; the comparison
@@ -111,7 +111,7 @@ def pipeline_compare(
     else:
         raise ValueError(f"unknown entropy mode {entropy_mode!r}")
     n_total = n_groups * group_n
-    rate = max(target - margin, 0.0)
+    rate = max(target - RATE_MARGIN, 0.0)
 
     rng = np.random.default_rng(seed)
     seed_sample, seed_extract, seed_distill, seed_measure = rng.integers(0, 2**63, size=4)

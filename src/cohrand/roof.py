@@ -30,6 +30,10 @@ from .states import DensityMatrix, PureState, entropy_bits
 
 RANK_THRESHOLD = 1e-10
 ELEMENT_DROP_THRESHOLD = 1e-12
+# The descent's iteration budget per restart, and the tolerance of its
+# stall stop (three iterations in a row each gaining under 1% of it).
+MAX_ITERATIONS = 2000
+TOLERANCE_BITS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -46,9 +50,11 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class RoofConfig:
+    """The number of restarts and the master seed of their starts. Every
+    restart descends for at most MAX_ITERATIONS iterations and stalls out
+    at TOLERANCE_BITS."""
+
     restarts: int = 16
-    max_iterations: int = 2000
-    tolerance: float = 1e-8
     seed: int = 0
 
 
@@ -143,13 +149,14 @@ def _block_rows(rho: DensityMatrix, config: RoofConfig):
     if r == 1:
         return b, True, False
     m = r * r
-    tol_nats = config.tolerance * _kernels.LN2
     g = np.empty((config.restarts, m, r), dtype=complex)
     for i, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.restarts)):
         rng = np.random.default_rng(child)
         g[i] = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
     w0, _ = np.linalg.qr(g)
-    _, psi, converged = _kernels.roof_descent(w0 @ b, config.max_iterations, tol_nats)
+    _, psi, converged = _kernels.roof_descent(
+        w0 @ b, MAX_ITERATIONS, TOLERANCE_BITS * _kernels.LN2
+    )
     return psi, converged, True
 
 

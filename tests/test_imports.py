@@ -101,6 +101,35 @@ def test_no_unused_imports(module):
     assert sorted(imported - used) == []
 
 
+def test_no_unused_private_names():
+    # A module-level private name (a helper, constant or class) that no
+    # package code reads is dead: only a test could still reach it.
+    defined, loaded = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined.update(
+                f"{path.stem}.{name}"
+                for name in names
+                if name.startswith("_") and not name.startswith("__")
+            )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.alias):
+                loaded.add(node.name)
+    assert sorted(n for n in defined if n.split(".")[1] not in loaded) == []
+
+
 def _traced_names() -> list:
     """The "module.name" strings of the benchmark's SELF_S and CALLS tuples,
     read from its source so that its import-time environment set-up does

@@ -123,16 +123,11 @@ PROPERTY_SETTINGS = settings(derandomize=True, max_examples=100, deadline=None, 
 ROOF_ARGS_OUT_OF_RANGE = (
     ("--restarts", "0"),
     ("--restarts", "-2"),
-    ("--max-iterations", "0"),
-    ("--tolerance", "0"),
-    ("--tolerance", "-1e-8"),
-    ("--tolerance", "nan"),
-    ("--tolerance", "inf"),
     ("--seed", "-1"),
 )
 
-# Counts, seeds and the pipeline margin out of range, each after the
-# rest of its command line: argparse rejects each with exit code 2.
+# Counts and seeds out of range, each after the rest of its command line:
+# argparse rejects each with exit code 2.
 ARGS_OUT_OF_RANGE = (
     (["verify"], "--samples", "0"),
     (["distill", "--alpha-sq", "0.5", "--exact"], "--n", "-5"),
@@ -140,9 +135,6 @@ ARGS_OUT_OF_RANGE = (
     (["sample", "x.json"], "--n", "0"),
     (["pipeline", "x.json"], "--groups", "0"),
     (["pipeline", "x.json"], "--group-n", "-1"),
-    (["pipeline", "x.json"], "--margin", "-0.1"),
-    (["pipeline", "x.json"], "--margin", "nan"),
-    (["pipeline", "x.json"], "--margin", "inf"),
     (["distill", "--alpha-sq", "0.5", "--n", "5"], "--seed", "-1"),
     (["sample", "x.json", "--n", "5"], "--seed", "-1"),
     (["pipeline", "x.json"], "--seed", "-1"),
@@ -599,6 +591,19 @@ class TestCli:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    def test_removed_tuning_flags_are_usage_errors(self, capsys):
+        # The roof's budget and the pipeline's rate margin are constants
+        # (roof.MAX_ITERATIONS, roof.TOLERANCE_BITS, rng.RATE_MARGIN).
+        for argv in (
+            ["roof", "x.json", "--tolerance", "1e-8"],
+            ["roof", "x.json", "--max-iterations", "10"],
+            ["pipeline", "x.json", "--margin", "0.02"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {argv[2]} {argv[3]}" in capsys.readouterr().err
+
     def test_non_integer_count_is_named_an_int(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--samples", "x"])
@@ -607,16 +612,16 @@ class TestCli:
 
     def test_non_numeric_float_is_named_a_float(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["roof", "x.json", "--tolerance", "x"])
+            main(["distill", "--alpha-sq", "x"])
         assert exc.value.code == 2
-        assert "--tolerance: invalid float value: 'x'" in capsys.readouterr().err
+        assert "--alpha-sq: invalid float value: 'x'" in capsys.readouterr().err
 
     def test_argument_range_boundaries_are_accepted(self):
         parse = build_parser().parse_args
         assert parse(["verify", "--samples", "1"]).samples == 1
         assert parse(["distill", "--alpha-sq", "0.5", "--n", "1", "--m", "1"]).n == 1
-        args = parse(["pipeline", "x.json", "--groups", "1", "--group-n", "1", "--margin", "0"])
-        assert (args.groups, args.group_n, args.margin) == (1, 1, 0.0)
+        args = parse(["pipeline", "x.json", "--groups", "1", "--group-n", "1"])
+        assert (args.groups, args.group_n) == (1, 1)
         assert parse(["roof", "x.json", "--seed", "0"]).seed == 0
         assert parse(["distill", "--alpha-sq", "0.5", "--n", "1", "--seed", "0"]).seed == 0
         assert parse(["sample", "x.json", "--n", "1", "--seed", "0"]).seed == 0

@@ -278,7 +278,7 @@ class TestOptimizeRoof:
         # converges 1.04e-9 above the exact value.
         a, b = (random_density(2, 2, seed=s) for s in seeds)
         rho = DensityMatrix(np.kron(a.mat, b.mat))
-        result = optimize_roof(rho, RoofConfig(restarts=4, max_iterations=2000))
+        result = optimize_roof(rho, RoofConfig(restarts=4))
         assert result.converged
         exact = r_qubit_analytic(a) + r_qubit_analytic(b)
         assert result.value == pytest.approx(exact, abs=1e-7)
@@ -324,8 +324,8 @@ class TestOptimizeRoof:
         config = RoofConfig(restarts=4)
         starts = unsplit_starts(DensityMatrix(mat), config)
         assert starts.shape[-1] == len(mat)
-        tol_nats = config.tolerance * _kernels.LN2
-        value, _, converged = _kernels.roof_descent(starts, config.max_iterations, tol_nats)
+        tol_nats = roof.TOLERANCE_BITS * _kernels.LN2
+        value, _, converged = _kernels.roof_descent(starts, roof.MAX_ITERATIONS, tol_nats)
         assert converged
         assert value == pytest.approx(exact, abs=1e-7)
 
@@ -479,8 +479,8 @@ class TestBlockSplit:
             else:
                 [((starts, max_iter, tol_nats), (_, psi, converged))] = calls
                 assert np.array_equal(starts, unsplit_starts(rho, config))
-                assert max_iter == config.max_iterations
-                assert tol_nats == config.tolerance * _kernels.LN2
+                assert max_iter == roof.MAX_ITERATIONS
+                assert tol_nats == roof.TOLERANCE_BITS * _kernels.LN2
                 assert result.converged == converged
                 assert result.restarts_used == config.restarts
                 expected = _ensemble(rho, psi)
