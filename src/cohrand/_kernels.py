@@ -4,19 +4,23 @@
   batched descent, with the closed-form gradient of the objective
   (Röthlisberger, Lehmann & Loss, PRA 80, 042301 (2009)) and
   limited-memory BFGS directions on the unitary group, which fall back to
-  the gradient when they do not descend, and Cayley steps;
+  the gradient when they do not descend, and Cayley steps. Its loop keeps
+  few, contiguous numpy calls per iteration: the L-BFGS memory is stored
+  slot by slot, and every row dot product is one np.vecdot (numpy >= 2.0);
 * :func:`qubit_grid_min` -- the brute-force qubit roof oracle;
 * :func:`toeplitz_gf2` -- the Toeplitz GF(2) hash, as one circular FFT product.
 
 tests/test_kernels.py checks them against central differences, exp(tH),
 the naive Toeplitz product and the analytic qubit roof, the FFT length
 against a brute-force search, a batched descent against its restarts one
-by one, and the direction against the dense BFGS update, its fallback
-and which steps the memory keeps.
+by one and against a restart whose trials read NaN, and the direction
+against the dense BFGS update, its fallback, which steps the memory keeps
+and the masked push against the unmasked one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -31,19 +35,34 @@ LN2 = math.log(2.0)
 
 def _entropy_terms(psi):
     """Roof objective of each ensemble of unnormalized rows psi (..., m, d),
-    in nats: sum over rows of -sum q ln q + p ln p, with q = |row|^2 and p
-    the row norm squared (0 ln 0 = 0); with q, ln q and ln p for
-    :func:`_generator`, each log 0 where its argument is at most 1e-300."""
-    q = psi.real * psi.real + psi.imag * psi.imag
+    a C-contiguous complex stack, in nats: sum over rows of
+    p ln p - sum q ln q, with q = |row|^2 and p the row norm squared
+    (0 ln 0 = 0), as two row dot products; with the mask of the q that
+    are at most 1e-300, ln q (0 there) and ln p for :func:`_generator`.
+    q is read off the real view of psi, (re, im) pairs of float64."""
+    x = psi.view(np.float64)
+    xx = x * x
+    q = xx[..., ::2] + xx[..., 1::2]
     p = q.sum(axis=-1)
     # Where clamped, the log is taken of q + 1 == 1, which is exactly 0.
-    ln_q = np.log(q + (q <= 1e-300))
+    zero = q <= 1e-300
+    ln_q = np.log(q + zero)
     ln_p = np.log(p + (p <= 1e-300))
-    f = (p * ln_p - (q * ln_q).sum(axis=-1)).sum(axis=-1)
-    return f, q, ln_q, ln_p
+    flat = q.shape[:-2] + (-1,)
+    f = np.vecdot(p, ln_p) - np.vecdot(q.reshape(flat), ln_q.reshape(flat))
+    return f, zero, ln_q, ln_p
 
 
-def _generator(psi, q, ln_q, ln_p):
+@functools.cache
+def _off_diagonal(m):
+    """2 (1 - I), m x m, read-only: the factor that doubles a generator and
+    zeroes its diagonal."""
+    factor = 2.0 * (1.0 - np.eye(m))
+    factor.flags.writeable = False
+    return factor
+
+
+def _generator(psi, zero, ln_q, ln_p):
     """Gradient of the objective as anti-Hermitian generators A, one per
     ensemble of the stack psi (..., m, d), from the :func:`_entropy_terms`
     of psi.
@@ -55,12 +74,10 @@ def _generator(psi, q, ln_q, ln_p):
     g_i = -Im A[l, j] = -2 Im(M[l, j] + M[j, l]). Diagonal generators only
     change row phases and never move the objective.
     """
-    D = np.subtract(ln_p[..., None], ln_q, where=q > 1e-300, out=np.zeros_like(q))
+    D = ln_p[..., None] - ln_q
+    np.copyto(D, 0.0, where=zero)
     M = psi @ (D * psi).conj().swapaxes(-1, -2)
-    A = 2.0 * (M - M.conj().swapaxes(-1, -2))
-    diag = np.arange(A.shape[-1])
-    A[..., diag, diag] = 0.0
-    return A
+    return (M - M.conj().swapaxes(-1, -2)) * _off_diagonal(M.shape[-1])
 
 
 MEMORY = 4  # L-BFGS pairs each restart keeps
@@ -68,7 +85,7 @@ MEMORY = 4  # L-BFGS pairs each restart keeps
 
 def _real(X):
     """The (R, m, m) complex stack X as (R, 2 m^2) reals, in which the dot
-    product of two rows is Re tr(X^dag Y)."""
+    product of two rows is Re tr(X^dag Y); an (R, n) real array as itself."""
     return X.reshape(len(X), -1).view(np.float64)
 
 
@@ -78,24 +95,25 @@ def _lbfgs_direction(A, gnorm2, S, Y, rho, gamma):
     503 (1989)), and its slope 1/2 Re tr(A^dag H): minus the derivative of
     the objective along the step of :func:`roof_descent` at t = 0.
 
-    The memory holds the last MEMORY pairs of each restart, newest first,
-    as rows of S and Y (R, MEMORY, 2 m^2) with rho = 1 / <s, y>, and
-    gamma = <s, y> / <y, y> of the newest pair. An empty slot has rho = 0
+    The memory is slot-major and holds the last MEMORY pairs of each
+    restart, newest first: slot i of S and Y (MEMORY, R, 2 m^2) is one
+    contiguous (R, 2 m^2) block of real views, with rho[i] = 1 / <s, y>
+    (rho is (MEMORY, R)), and gamma = <s, y> / <y, y> of the newest pair.
+    Every dot product is a row-wise np.vecdot. An empty slot has rho = 0
     and adds nothing, and with no pair gamma = 1, so the direction is A.
     Every slot is visited, filled or not, so a restart computes the same
     numbers in any stack. Where the slope is not positive the direction
     does not descend, and it falls back to A, whose slope is gnorm2."""
     a = _real(A)
     q = a.copy()
-    alpha = np.empty(rho.shape)
-    for i in range(MEMORY):
-        alpha[:, i] = rho[:, i] * np.einsum("ri,ri->r", S[:, i], q)
-        q -= alpha[:, i, None] * Y[:, i]
+    alpha = []
+    for S_i, Y_i, rho_i in zip(S, Y, rho):
+        alpha.append(rho_i * np.vecdot(S_i, q))
+        q -= alpha[-1][:, None] * Y_i
     q *= gamma[:, None]
-    for i in reversed(range(MEMORY)):
-        beta = rho[:, i] * np.einsum("ri,ri->r", Y[:, i], q)
-        q += (alpha[:, i] - beta)[:, None] * S[:, i]
-    slope = 0.5 * np.einsum("ri,ri->r", a, q)
+    for S_i, Y_i, rho_i, alpha_i in zip(S[::-1], Y[::-1], rho[::-1], alpha[::-1]):
+        q += (alpha_i - rho_i * np.vecdot(Y_i, q))[:, None] * S_i
+    slope = 0.5 * np.vecdot(a, q)
     H = q.view(np.complex128).reshape(A.shape)
     reset = slope <= 0.0
     if reset.any():
@@ -104,47 +122,52 @@ def _lbfgs_direction(A, gnorm2, S, Y, rho, gamma):
 
 
 def _remember(S, Y, rho, gamma, s, y, moved):
-    """Push the pair (s, y) of generators (R, m, m) in front of the memory
-    of :func:`_lbfgs_direction`, in place, for each restart that moved and
+    """Push the pair (s, y), as generators (R, m, m) or their real views
+    (R, 2 m^2), in front of the slot-major memory of
+    :func:`_lbfgs_direction`, in place, for each restart that moved and
     has <s, y> > 0; its oldest pair drops out."""
     s, y = _real(s), _real(y)
-    sy = np.einsum("ri,ri->r", s, y)
+    sy = np.vecdot(s, y)
     new = moved & (sy > 0.0)
-    # Usually every restart stores, and a slice spares the masked copies.
+    # Usually every restart stores, and then the push shifts whole slots,
+    # S[1:] = S[:-1], with no masked copies.
     new = slice(None) if new.all() else new
     for a in (S, Y, rho):
-        a[new, 1:] = a[new, :-1]
-    S[new, 0], Y[new, 0], sy = s[new], y[new], sy[new]
-    rho[new, 0] = 1.0 / sy
-    gamma[new] = sy / np.einsum("ri,ri->r", Y[new, 0], Y[new, 0])
+        a[1:, new] = a[:-1, new]
+    S[0, new], Y[0, new], sy = s[new], y[new], sy[new]
+    rho[0, new] = 1.0 / sy
+    gamma[new] = sy / np.vecdot(Y[0, new], Y[0, new])
 
 
-def _cayley(H, HP, psi, t):
+def _cayley(H, HP, psi, t, eye):
     """(I - tH/2)^-1 (I + tH/2) psi for each ensemble of the stack psi
-    (R, m, d), with HP = H psi and one t each, by one batched solve: for H
-    in u(m), a unitary with tangent H at t = 0, the Cayley transform (Wen &
-    Yin, Math. Program. 142, 397 (2013)). I - tH/2 is never singular."""
+    (R, m, d), with HP = H psi, one t each and eye the m x m identity, by
+    one batched solve: for H in u(m), a unitary with tangent H at t = 0,
+    the Cayley transform (Wen & Yin, Math. Program. 142, 397 (2013)).
+    I - tH/2 is never singular."""
     h = 0.5 * t[:, None, None]
-    return np.linalg.solve(np.eye(H.shape[-1]) - h * H, psi + h * HP)
+    return np.linalg.solve(eye - h * H, psi + h * HP)
 
 
 def roof_descent(psi0, max_iter, tol_nats):
     """Local descent over the ensembles of one state from every restart at once.
 
-    psi0 stacks R starting ensembles (R, m, d), each row an unnormalized
-    pure state. Steps are the unitaries of :func:`_cayley`, which keep the
-    mixture psi^T psi^* fixed; no eigendecomposition is taken. H in u(m)
-    is the L-BFGS direction of :func:`_lbfgs_direction`, built from the
-    closed-form gradient generator A of :func:`_generator` and the
-    restart's last MEMORY steps: the accepted step's generator s = t H and
-    y = A_before - A_after, kept only when <s, y> > 0 (on the unitary group
-    under any retraction, as in Huang, Gallivan & Absil, SIAM J. Optim. 25,
-    1660 (2015)). H acts on the left, so a stored pair carries over to the
-    new point as it is. H falls back to A when it is not a descent
-    direction (1/2 Re tr(A^dag H) <= 0). An Armijo backtracking line search
-    from t = 1 picks t. Each restart keeps its own memory, line search,
-    stall count and stop rule, and leaves the active set when it stops, so
-    it follows the same path it would follow alone.
+    psi0 stacks R starting ensembles (R, m, d), a C-contiguous complex128
+    array, each row an unnormalized pure state. Steps are
+    the unitaries of :func:`_cayley`, which keep the mixture psi^T psi^*
+    fixed; no eigendecomposition is taken. H in u(m) is the L-BFGS
+    direction of :func:`_lbfgs_direction`, built from the closed-form
+    gradient generator A of :func:`_generator` and the restart's last
+    MEMORY steps: the accepted step's generator s = t H and
+    y = A_before - A_after, both formed on the real views and kept only
+    when <s, y> > 0 (on the unitary group under any retraction, as in
+    Huang, Gallivan & Absil, SIAM J. Optim. 25, 1660 (2015)). H acts on
+    the left, so a stored pair carries over to the new point as it is. H
+    falls back to A when it is not a descent direction
+    (1/2 Re tr(A^dag H) <= 0). An Armijo backtracking line search from
+    t = 1 picks t. Each restart keeps its own memory, line search, stall
+    count and stop rule, and leaves the active set when it stops, so it
+    follows the same path it would follow alone.
 
     Returns (objective in bits, final rows (m, d), converged flag) of the
     best restart: the lowest value, then the lowest index.
@@ -153,26 +176,28 @@ def roof_descent(psi0, max_iter, tol_nats):
     f, *terms = _entropy_terms(psi)
     A = _generator(psi, *terms)
     n, m = psi.shape[:2]
+    eye = np.eye(m)
     idx = np.arange(n)  # psi0 index of each active restart
     stall = np.zeros(n, dtype=int)
-    S, Y = np.zeros((2, n, MEMORY, 2 * m * m))
-    rho, gamma = np.zeros((n, MEMORY)), np.ones(n)
+    S, Y = np.zeros((2, MEMORY, n, 2 * m * m))
+    rho, gamma = np.zeros((MEMORY, n)), np.ones(n)
     f_out, psi_out, converged = np.empty(n), np.empty_like(psi), np.zeros(n, dtype=bool)
     for _ in range(max_iter):
         if not len(idx):
             break
         # Squared norm of the (g_r, g_i) coordinates over the pairs j < l.
-        gnorm2 = 0.5 * np.einsum("...ij,...ij->...", A.conj(), A).real
+        a = _real(A)
+        gnorm2 = 0.5 * np.vecdot(a, a)
         H, slope = _lbfgs_direction(A, gnorm2, S, Y, rho, gamma)
         stop = gnorm2 < 1e-22
         HP = H @ psi
         t = np.ones(len(idx))
         # Every trial steps every active restart; one that has passed its
         # Armijo test keeps its t, so its last trial repeats its accepted
-        # step exactly.
+        # step exactly. The test is written so that a NaN trial fails it.
         searching = ~stop
         for _ls in range(60):
-            psi_t = _cayley(H, HP, psi, t)
+            psi_t = _cayley(H, HP, psi, t, eye)
             f_t, *terms = _entropy_terms(psi_t)
             searching &= ~(f_t < f - 1e-4 * t * slope)
             if not searching.any():
@@ -189,9 +214,8 @@ def roof_descent(psi0, max_iter, tol_nats):
             f_t = np.where(moved, f_t, f)
             psi_t = np.where(moved[:, None, None], psi_t, psi)
         f, psi = f_t, psi_t
-        A_new = _generator(psi, *terms)
-        _remember(S, Y, rho, gamma, t[:, None, None] * H, A - A_new, moved)
-        A = A_new
+        A = _generator(psi, *terms)
+        _remember(S, Y, rho, gamma, t[:, None] * _real(H), a - _real(A), moved)
         # Linear convergence means the remaining gap is a multiple of the
         # per-iteration decrease; demand decreases well below the target
         # tolerance before declaring convergence.
@@ -201,9 +225,8 @@ def roof_descent(psi0, max_iter, tol_nats):
             done, keep = idx[stop], ~stop
             f_out[done], psi_out[done], converged[done] = f[stop], psi[stop], True
             # terms is not compacted: the next trial replaces it unread.
-            idx, psi, f, stall, A, S, Y, rho, gamma = (
-                a[keep] for a in (idx, psi, f, stall, A, S, Y, rho, gamma)
-            )
+            idx, psi, f, stall, A, gamma = (x[keep] for x in (idx, psi, f, stall, A, gamma))
+            S, Y, rho = (x[:, keep] for x in (S, Y, rho))
     f_out[idx], psi_out[idx] = f, psi
     values = f_out / LN2
     best = int(np.argmin(values))

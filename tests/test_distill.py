@@ -1,10 +1,13 @@
 """Distillation protocol: exact state-vector mode, statistical mode and its
 coherence-loss bookkeeping."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from cohrand import (
@@ -96,6 +99,28 @@ class TestExactMode:
         run = distill_exact(unbalanced_qubit(0.8), 10)
         probs, _ = binomial_outcome_distribution(10, 0.8)
         assert np.allclose(run.probabilities, probs, atol=1e-12)
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(
+        st.integers(1, 14),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+    )
+    @example(1, 0.0, 0.0)
+    @example(14, 0.0, 1.0)
+    @example(1, 1.0, 2.0)
+    @example(14, 1.0, 3.0)
+    def test_agrees_with_bookkeeping_mode(self, n, p0, phase):
+        # The state-vector run and the closed-form outcome distribution of
+        # the bookkeeping mode agree for every N the exact mode is tested
+        # at, every p0 in [0, 1] and any phase on beta: outcome
+        # probabilities within 1e-12 and each subspace's size C(N, k)
+        # equal to 2**log2_d rounded.
+        psi = pure_state([math.sqrt(p0), cmath.exp(1j * phase) * math.sqrt(1.0 - p0)])
+        run = distill_exact(psi, n)
+        probs, log2_d = binomial_outcome_distribution(n, p0)
+        assert np.max(np.abs(run.probabilities - probs)) <= 1e-12
+        assert [len(idx) for idx in run.subspace_indices] == [round(2.0**v) for v in log2_d]
 
     def test_size_limit(self):
         with pytest.raises(TooLarge):

@@ -190,6 +190,41 @@ class TestRoofDescent:
         assert converged and not calls
         assert np.max(np.abs(psi.T @ psi.conj() - rho.mat)) < 1e-12
 
+    @pytest.mark.parametrize("lowest", [False, True])
+    def test_a_nan_trial_fails_the_armijo_test(self, monkeypatch, lowest):
+        # Restart 1's trial objectives read NaN while all three restarts
+        # are active. A NaN trial must fail the Armijo test, so restart 1
+        # never steps: it stops after 60 halvings where it started, with
+        # its rows and value, counted as converged, and the other two
+        # restarts descend exactly as they would alone. With lowest, its
+        # starting value reads -1 nats, so it is the restart returned.
+        rho = random_density(2, 2, seed=12)
+        psi0 = self.random_stack(2, 3, seed=12) @ support_rows(rho)
+        singles = [_kernels.roof_descent(psi0[i : i + 1], 300, TOL_NATS) for i in (0, 2)]
+        entropy_terms = _kernels._entropy_terms
+        calls = []
+
+        def nan_trials(psi):
+            f, *terms = entropy_terms(psi)
+            if len(psi) == 3:
+                if calls:
+                    f[1] = np.nan
+                elif lowest:
+                    f[1] = -1.0
+                calls.append(len(psi))
+            return f, *terms
+
+        monkeypatch.setattr(_kernels, "_entropy_terms", nan_trials)
+        value, psi, converged = _kernels.roof_descent(psi0, 300, TOL_NATS)
+        assert len(calls) > 60  # restart 1 ran out its 60 halvings
+        if lowest:
+            assert value == -1.0 / _kernels.LN2 and converged
+            assert np.array_equal(psi, psi0[1])
+        else:
+            best_value, best_psi, best_converged = min(singles, key=lambda s: s[0])
+            assert value == best_value and converged == best_converged
+            assert np.array_equal(psi, best_psi)
+
     @pytest.mark.parametrize("d,seed,max_iter", [(2, 41, 20), (3, 40, 32)])
     def test_restarts_stay_independent_on_max_iter(self, d, seed, max_iter):
         # A budget between the restarts' own iteration counts (18-30 at
@@ -214,7 +249,7 @@ class TestCayley:
         H = generator(psi)
         t = 0.5 ** np.arange(6)
         stack, Hs = (np.repeat(x[None], len(t), axis=0) for x in (psi, H))
-        steps = _kernels._cayley(Hs, Hs @ stack, stack, t)
+        steps = _kernels._cayley(Hs, Hs @ stack, stack, t, np.eye(len(H)))
         w, U = np.linalg.eigh(1j * H)
         exact = [U @ (np.exp(-1j * s * w)[:, None] * (U.conj().T @ psi)) for s in t]
         errors = np.array([np.max(np.abs(a - b)) for a, b in zip(steps, exact)])
@@ -225,9 +260,9 @@ class TestCayley:
 
 
 def memory(n, m):
-    """An empty L-BFGS memory for n restarts of m x m generators."""
-    S, Y = np.zeros((2, n, _kernels.MEMORY, 2 * m * m))
-    return S, Y, np.zeros((n, _kernels.MEMORY)), np.ones(n)
+    """An empty slot-major L-BFGS memory for n restarts of m x m generators."""
+    S, Y = np.zeros((2, _kernels.MEMORY, n, 2 * m * m))
+    return S, Y, np.zeros((_kernels.MEMORY, n)), np.ones(n)
 
 
 class TestLbfgsDirection:
@@ -297,13 +332,13 @@ class TestRemember:
         y = np.concatenate([2 * A, -A, 0 * A, 2 * A])
         S, Y, rho, gamma = mem = memory(4, 4)
         _kernels._remember(*mem, s, y, np.array([False, True, True, True]))
-        assert not S[:3].any() and not Y[:3].any() and not rho[:3].any()
+        assert not S[:, :3].any() and not Y[:, :3].any() and not rho[:, :3].any()
         assert np.array_equal(gamma[:3], np.ones(3))
-        assert np.array_equal(S[3, 0], _kernels._real(s)[3])
-        assert np.array_equal(Y[3, 0], _kernels._real(y)[3])
-        assert rho[3, 0] == pytest.approx(1.0 / (4.0 * gnorm2[0]), rel=1e-14)
+        assert np.array_equal(S[0, 3], _kernels._real(s)[3])
+        assert np.array_equal(Y[0, 3], _kernels._real(y)[3])
+        assert rho[0, 3] == pytest.approx(1.0 / (4.0 * gnorm2[0]), rel=1e-14)
         assert gamma[3] == pytest.approx(0.5, rel=1e-14)
-        assert not S[3, 1:].any() and not rho[3, 1:].any()
+        assert not S[1:, 3].any() and not rho[1:, 3].any()
 
     def test_keeps_the_last_pairs_newest_first(self):
         # After MEMORY + 1 pairs (k A, A), k = 1, 2, ..., the first has
@@ -313,7 +348,25 @@ class TestRemember:
         for k in range(1, _kernels.MEMORY + 2):
             _kernels._remember(*mem, k * A, A, np.array([True]))
         a = _kernels._real(A)[0]
-        assert S[0] @ a / (a @ a) == pytest.approx([5, 4, 3, 2], rel=1e-14)
+        assert S[:, 0] @ a / (a @ a) == pytest.approx([5, 4, 3, 2], rel=1e-14)
+
+    def test_unmasked_and_masked_push_leave_the_same_memory(self):
+        # Restarts 0 and 2 of a stack of three are offered MEMORY + 1 pairs
+        # while restart 1 never moves, so every push is masked; the same
+        # pairs offered to a stack of the two alone take the unmasked push
+        # S[1:] = S[:-1]. Both leave the two restarts the same memory, and
+        # restart 1's stays empty.
+        A = TestLbfgsDirection.gradient(seed=6)[0]
+        masked, unmasked = memory(3, 4), memory(2, 4)
+        for k in range(1, _kernels.MEMORY + 2):
+            s, y = np.concatenate([k * A, A, -k * A]), np.concatenate([A, A, -3 * A])
+            _kernels._remember(*masked, s, y, np.array([True, False, True]))
+            _kernels._remember(*unmasked, s[[0, 2]], y[[0, 2]], np.array([True, True]))
+        for m_, u_ in zip(masked[:3], unmasked[:3]):
+            assert np.array_equal(m_[:, [0, 2]], u_)
+            assert not m_[:, 1].any()
+        assert unmasked[2].all()  # every slot is filled
+        assert np.array_equal(masked[3][[0, 2]], unmasked[3]) and masked[3][1] == 1.0
 
 
 class TestQubitGrid:
