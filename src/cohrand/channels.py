@@ -21,8 +21,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NonExactMeasure, NotAPartition
-from .measures import MeasureId, c_l1_values, c_rel_ent_values, r_qubit_analytic_values
-from .states import DensityMatrix, _seeded_generators, validate_densities
+from .measures import (
+    MeasureId,
+    _c_rel_ent_values,
+    c_l1_values,
+    c_rel_ent_values,
+    r_qubit_analytic_values,
+)
+from .states import DensityMatrix, _seeded_generators, _validated_spectra
 
 COLUMN_ZERO_THRESHOLD = 1e-12
 TRACE_PRESERVATION_TOL = 1e-10
@@ -65,8 +71,15 @@ def exact_measure_values(measure: MeasureId, mats: np.ndarray) -> np.ndarray:
     fabricate property violations, so it is rejected there; on qubits the
     roof has an exact analytic form.
     """
+    return _exact_values(measure, mats)
+
+
+def _exact_values(measure: MeasureId, mats: np.ndarray, spectra=None) -> np.ndarray:
+    """:func:`exact_measure_values`, given the stack's ascending
+    ``eigvalsh`` spectra if they are known (the harnesses keep them from
+    validation). Only the relative-entropy measure reads them."""
     if measure == MeasureId.REL_ENT:
-        return c_rel_ent_values(mats)
+        return c_rel_ent_values(mats) if spectra is None else _c_rel_ent_values(mats, spectra)
     if measure == MeasureId.L1:
         return c_l1_values(mats)
     if measure == MeasureId.QUBIT_ANALYTIC:
@@ -159,28 +172,31 @@ def _channel_terms(mats: np.ndarray, kraus: np.ndarray) -> np.ndarray:
     return kraus @ mats[:, None] @ kraus.conj().swapaxes(-1, -2)
 
 
-def _channel_outputs(terms: np.ndarray) -> np.ndarray:
-    """The validated channel output sum_n K_n rho K_n^dag of each state."""
-    return validate_densities(terms.sum(axis=1), tol=1e-9)
+def _channel_outputs(terms: np.ndarray):
+    """(states, spectra): the validated channel output sum_n K_n rho K_n^dag
+    of each state and its spectrum from validation."""
+    return _validated_spectra(terms.sum(axis=1), tol=1e-9)
 
 
 def _selective_outcomes(terms: np.ndarray):
-    """(p, keep, states): the (N, k) outcome probabilities, the mask of
-    outcomes above OUTCOME_DROP_THRESHOLD, and the kept post-selected
-    states, validated, in row-major (state, operator) order."""
+    """(p, keep, states, spectra): the (N, k) outcome probabilities, the
+    mask of outcomes above OUTCOME_DROP_THRESHOLD, and the kept
+    post-selected states, validated, in row-major (state, operator) order,
+    with their spectra from validation."""
     p = np.trace(terms, axis1=-2, axis2=-1).real
     keep = p > OUTCOME_DROP_THRESHOLD
-    return p, keep, validate_densities(terms[keep] / p[keep][:, None, None], tol=1e-9)
+    return p, keep, *_validated_spectra(terms[keep] / p[keep][:, None, None], tol=1e-9)
 
 
 def apply_channel(rho: DensityMatrix, ks: KrausSet) -> DensityMatrix:
-    return DensityMatrix(_channel_outputs(_channel_terms(*_state_and_kraus(rho, ks)))[0])
+    states, _ = _channel_outputs(_channel_terms(*_state_and_kraus(rho, ks)))
+    return DensityMatrix(states[0])
 
 
 def apply_selective(rho: DensityMatrix, ks: KrausSet) -> list:
     """Post-selected outcomes (p_n, rho_n); outcomes with negligible
     probability are omitted."""
-    p, keep, states = _selective_outcomes(_channel_terms(*_state_and_kraus(rho, ks)))
+    p, keep, states, _ = _selective_outcomes(_channel_terms(*_state_and_kraus(rho, ks)))
     return [SelectiveOutcome(float(pn), DensityMatrix(s)) for pn, s in zip(p[keep], states)]
 
 
@@ -207,18 +223,20 @@ def monotonicity_slacks(measures, mats: np.ndarray, kraus: np.ndarray) -> dict:
     """C2a (non-selective) and C2b (selective average) slacks of each
     measure over an (N, d, d) state stack and an (N, k, d, d) stack of
     incoherent Kraus sets: {measure: (slack_a, slack_b)}, arrays of N.
-    Positive slack means a violation."""
+    Positive slack means a violation. The channel outputs and the kept
+    outcomes are decomposed once, by their validation, and the
+    relative-entropy measure reads those spectra."""
     if not _incoherent_mask(kraus).all():
         raise ValueError("Kraus set is not incoherent; monotonicity is not guaranteed")
     terms = _channel_terms(mats, kraus)
-    outputs = _channel_outputs(terms)
-    p, keep, outcomes = _selective_outcomes(terms)
+    outputs, output_spectra = _channel_outputs(terms)
+    p, keep, outcomes, outcome_spectra = _selective_outcomes(terms)
     slacks = {}
     for measure in dict.fromkeys(measures):
         base = exact_measure_values(measure, mats)
         weighted = np.zeros(p.shape)
-        weighted[keep] = p[keep] * exact_measure_values(measure, outcomes)
-        slack_a = exact_measure_values(measure, outputs) - base
+        weighted[keep] = p[keep] * _exact_values(measure, outcomes, outcome_spectra)
+        slack_a = _exact_values(measure, outputs, output_spectra) - base
         slacks[measure] = (slack_a, weighted.sum(axis=1) - base)
     return slacks
 
@@ -239,13 +257,15 @@ def check_monotonicity(measure: MeasureId, rho: DensityMatrix, ks: KrausSet):
 def convexity_slacks(measures, weights, mats: np.ndarray) -> dict:
     """C3 slacks C(sum_k q_k rho_k) - sum_k q_k C(rho_k) of each measure
     over an (N, n, d, d) stack of n-state ensembles that share the weights
-    q: {measure: array of N}. Positive slack means a violation."""
+    q: {measure: array of N}. Positive slack means a violation. Each
+    mixture is decomposed once, by its validation, and the
+    relative-entropy measure reads that spectrum."""
     q = np.asarray(weights, dtype=float)
     n_ens, n, d, _ = mats.shape
-    mixed = validate_densities((q[:, None, None] * mats).sum(axis=1), tol=1e-9)
+    mixed, spectra = _validated_spectra((q[:, None, None] * mats).sum(axis=1), tol=1e-9)
     members = mats.reshape(n_ens * n, d, d)
     return {
-        measure: exact_measure_values(measure, mixed)
+        measure: _exact_values(measure, mixed, spectra)
         - (q * exact_measure_values(measure, members).reshape(n_ens, n)).sum(axis=1)
         for measure in dict.fromkeys(measures)
     }

@@ -23,7 +23,6 @@ from .states import (
     density_to_bloch,
     entropy_bits,
     shannon_entropy,
-    von_neumann_entropies,
 )
 
 
@@ -40,10 +39,18 @@ def c_rel_ent_values(mats: np.ndarray) -> np.ndarray:
     The minimum over incoherent states is attained at the dephased state,
     which gives this closed form (cross-checked against a grid minimizer in
     the test suite). The dephased state's spectrum is its own diagonal,
-    summed in ascending order as ``eigvalsh`` returns a spectrum.
+    summed in ascending order as ``eigvalsh`` returns a spectrum. S(rho)
+    comes from one ``eigvalsh`` of the stack; a caller that already holds
+    those spectra passes them to :func:`_c_rel_ent_values` instead.
     """
+    return _c_rel_ent_values(mats, np.linalg.eigvalsh(mats))
+
+
+def _c_rel_ent_values(mats: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    """:func:`c_rel_ent_values` of a stack whose ascending ``eigvalsh``
+    spectra, (N, d), are already known."""
     dephased = np.sort(np.diagonal(mats, axis1=1, axis2=2).real, axis=-1)
-    return np.maximum(entropy_bits(dephased) - von_neumann_entropies(mats), 0.0)
+    return np.maximum(entropy_bits(dephased) - entropy_bits(spectra), 0.0)
 
 
 def c_rel_ent(rho: DensityMatrix) -> float:

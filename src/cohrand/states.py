@@ -78,8 +78,17 @@ def validate_densities(m, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     Raises NotFinite / NotHermitian / TraceNotOne / NotPSD for the first
     matrix in the stack that fails, naming the offending magnitude; each
-    matrix is checked in that order.
+    matrix is checked in that order. The PSD check decomposes the whole
+    stack; :func:`_validated_spectra` also returns those spectra, for a
+    caller that needs S(rho) of the validated states.
     """
+    return _validated_spectra(m, tol)[0]
+
+
+def _validated_spectra(m, tol: float):
+    """(stack, spectra): the stack :func:`validate_densities` returns and
+    the ``eigvalsh`` eigenvalues of each of its matrices, ascending, (N, d),
+    from the one decomposition its PSD check takes."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise ValueError(f"expected an (N, d, d) stack, got shape {m.shape}")
@@ -92,10 +101,11 @@ def validate_densities(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     with np.errstate(over="ignore"):
         herm_dev = np.abs(c - c.conj().swapaxes(1, 2)).max(axis=(1, 2))
         trace_dev = np.abs(np.trace(c, axis1=1, axis2=2) - 1.0)
-    eigmin = np.linalg.eigvalsh(c)[:, 0]
+    spectra = np.linalg.eigvalsh(c)
+    eigmin = spectra[:, 0]
     ok = finite & (herm_dev <= tol) & (trace_dev <= tol) & (eigmin >= -tol)
     if ok.all():
-        return m
+        return m, spectra
     i = int(np.argmin(ok))
     if not finite[i]:
         raise NotFinite("density matrix has a NaN or infinite entry")
@@ -147,15 +157,9 @@ def entropy_bits(lam: np.ndarray) -> np.ndarray:
     return 0.0 - np.sum(x * np.log2(x), axis=-1)
 
 
-def von_neumann_entropies(mats: np.ndarray) -> np.ndarray:
-    """S(rho) = -sum lambda log2 lambda, in bits, for each matrix of an
-    (N, d, d) stack."""
-    return entropy_bits(np.linalg.eigvalsh(mats))
-
-
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -sum lambda log2 lambda, in bits."""
-    return float(von_neumann_entropies(rho.mat[None])[0])
+    return float(entropy_bits(np.linalg.eigvalsh(rho.mat)))
 
 
 def shannon_entropy(p) -> float:

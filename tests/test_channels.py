@@ -17,12 +17,15 @@ from cohrand import (
     random_density,
 )
 from cohrand.channels import (
+    OUTCOME_DROP_THRESHOLD,
+    convexity_slacks,
     exact_measure_value,
     monotonicity_slacks,
     random_incoherent_kraus_sets,
 )
 from cohrand.errors import DimensionMismatch, NonExactMeasure, NotAPartition
-from cohrand.states import DensityMatrix
+from cohrand.measures import c_rel_ent_values
+from cohrand.states import DensityMatrix, random_densities, validate_densities
 
 
 def dephasing_kraus():
@@ -223,3 +226,53 @@ class TestPropertyHarnesses:
         ensemble = [(0.5, random_density(2, 2, seed=15)), (0.5, random_density(3, 3, seed=16))]
         with pytest.raises(DimensionMismatch, match=r"\[2, 3\]"):
             check_convexity(MeasureId.L1, ensemble)
+
+
+class TestReusedSpectra:
+    """The harnesses hand the relative-entropy measure the spectra that
+    validation took; each must be its own stack's, so the slacks are
+    exactly those of the public measure on the validated stacks."""
+
+    @staticmethod
+    def states_and_channels(d, k):
+        """Three states and incoherent Kraus sets of k operators. Where
+        d >= k >= 2, state 1 has no weight on basis state 0 and set 1 is a
+        projection partition whose first block is {0}, so outcome (1, 0) is
+        dropped from the middle of the keep mask."""
+        mats = random_densities(d, [d, 1, max(d - 1, 1)], [10 * d + k, 11 * d + k, 12 * d + k])
+        kraus = random_incoherent_kraus_sets(d, k, [20 * d + k, 21 * d + k, 22 * d + k])
+        if d >= k >= 2:
+            mats[1] = 0.0
+            mats[1, 1:, 1:] = random_densities(d - 1, [d - 1], [13 * d + k])[0]
+            blocks = [[0]] + [b.tolist() for b in np.array_split(np.arange(1, d), k - 1)]
+            kraus[1] = projection_partition_kraus(blocks).operators
+        return mats, kraus
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_monotonicity_slacks_are_the_public_measure(self, d, k):
+        mats, kraus = self.states_and_channels(d, k)
+        ((slack_a, slack_b),) = monotonicity_slacks((MeasureId.REL_ENT,), mats, kraus).values()
+        terms = kraus @ mats[:, None] @ kraus.conj().swapaxes(-1, -2)
+        outputs = validate_densities(terms.sum(axis=1), tol=1e-9)
+        p = np.trace(terms, axis1=-2, axis2=-1).real
+        keep = p > OUTCOME_DROP_THRESHOLD
+        assert keep.all() != (d >= k >= 2)
+        outcomes = validate_densities(terms[keep] / p[keep][:, None, None], tol=1e-9)
+        base = c_rel_ent_values(mats)
+        weighted = np.zeros(p.shape)
+        weighted[keep] = p[keep] * c_rel_ent_values(outcomes)
+        assert np.array_equal(slack_a, c_rel_ent_values(outputs) - base)
+        assert np.array_equal(slack_b, weighted.sum(axis=1) - base)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_convexity_slacks_are_the_public_measure(self, d, n):
+        ranks = 1 + np.arange(3 * n) % d
+        mats = random_densities(d, ranks, 100 * d + 10 * n + np.arange(3 * n)).reshape(3, n, d, d)
+        q = np.random.default_rng(d * n).random(n)
+        q /= q.sum()
+        (slack,) = convexity_slacks((MeasureId.REL_ENT,), q, mats).values()
+        mixed = validate_densities((q[:, None, None] * mats).sum(axis=1), tol=1e-9)
+        members = c_rel_ent_values(mats.reshape(3 * n, d, d)).reshape(3, n)
+        assert np.array_equal(slack, c_rel_ent_values(mixed) - (q * members).sum(axis=1))

@@ -2,6 +2,7 @@
 witness records."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -171,6 +172,29 @@ def test_suite_draws_shared_qubit_states_once(monkeypatch):
     # C1' 1000, C2 1800 and C3 1800 states, less C3's 250 qubit pairs
     # (2, 1, seed + 2i), (2, 2, seed + 2i + 1) for even i: C1' states 2i, 2i + 1.
     assert sum(drawn) == 4600 - 500
+
+
+def test_suite_decomposes_each_stack_once(monkeypatch):
+    # Validation's spectra of the channel outputs, the kept outcomes and
+    # the mixtures go on to the relative-entropy measure, so the measure
+    # hands eigvalsh no stack, byte for byte, that was decomposed before.
+    # Validation itself may meet one twice: a one-operator channel's
+    # outcome is its output divided by p, and p often reads exactly 1.0
+    # (here the (d, k) = (6, 1) group's outputs).
+    eigvalsh = np.linalg.eigvalsh
+    seen, repeated = set(), []
+
+    def spy(a, *args, **kwargs):
+        key = (a.shape, np.ascontiguousarray(a).tobytes())
+        if key in seen and sys._getframe(1).f_code.co_name != "_validated_spectra":
+            repeated.append(a.shape)
+        seen.add(key)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    run_property_suite(samples=40)
+    assert seen
+    assert repeated == []
 
 
 @pytest.mark.parametrize("seed", [0, 3, 2**32])
