@@ -15,7 +15,13 @@ import numpy as np
 from ._kernels import toeplitz_gf2
 from .errors import RateOutOfRange
 from .distill import distill_simulate
-from .states import OutcomeStream, PureState, _draw_outcomes, shannon_entropy
+from .states import (
+    OutcomeStream,
+    PureState,
+    _checked_probabilities,
+    _draw_outcomes,
+    shannon_entropy,
+)
 
 RATE_MARGIN = 0.02
 
@@ -58,9 +64,9 @@ def sample_measurement(psi: PureState, n: int, seed: int) -> OutcomeStream:
 
 
 def min_entropy(p) -> float:
-    """H_min = -log2 max p_i; a stricter alternative rate target."""
-    p = np.asarray(p, dtype=float)
-    return float(-np.log2(p.max()))
+    """H_min = -log2 max p_i of a checked probability vector; a stricter
+    alternative rate target."""
+    return float(-np.log2(_checked_probabilities(p).max()))
 
 
 def toeplitz_extract(stream: OutcomeStream, rate: float, seed: int):

@@ -10,16 +10,18 @@ as an independent qubit oracle.
 
 The measure is additive over direct sums (Yu, Zhang, Xu & Tong, PRA 94,
 060302(R) (2016)): when rho_ij = 0 whenever i and j lie in different
-blocks B_k of the computational basis, R(rho) = sum_k w_k R(rho_k) with
-w_k = tr(P_k rho) and rho_k = P_k rho P_k / w_k. The optimizer splits rho
-along those blocks, found from exact zeros only, and gives each block its
-own roof.
+blocks B_k of the computational basis, R(rho) is the sum of the roofs of
+the unnormalized blocks P_k rho P_k. The roof objective is homogeneous of
+degree one in the ensemble's weights, so a block's roof is its trace times
+the roof of the normalized block. The optimizer splits rho along those
+blocks, found from exact zeros only, and descends each bare block; a rho
+of one block is one turn of the same loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -63,10 +65,10 @@ class RoofResult:
     """The roof value, its ensemble, whether every descent converged, and
     the restarts each descent ran (0 when no descent ran).
 
-    A rho that splits into blocks of ranks r_k (see :func:`optimize_roof`)
-    has one ensemble per block, so ``best_decomposition`` holds
-    sum_k r_k^2 members instead of r^2, and ``cohrand roof`` prints that
-    many; ``converged`` is the AND over the blocks, and ``restarts_used``
+    The ensemble is the concatenation of one ensemble per block of rho
+    (see :func:`optimize_roof`): blocks of ranks r_k give sum_k r_k^2
+    members, r^2 for a rho of one block, and ``cohrand roof`` prints that
+    many. ``converged`` is the AND over the blocks, and ``restarts_used``
     is ``config.restarts`` when any block descended, else 0.
     """
 
@@ -76,11 +78,13 @@ class RoofResult:
     restarts_used: int
 
 
-def _support_rows(rho: DensityMatrix) -> np.ndarray:
-    """Rows sqrt(lam_j) v_j of rho's support eigendecomposition, B (r, d).
-    Every ensemble of rho is the rows of W @ B for an m x r isometry W
-    (Hughston, Jozsa & Wootters, PLA 183, 14 (1993))."""
-    lam, vec = np.linalg.eigh(rho.mat)
+def _support_rows(mat: np.ndarray) -> np.ndarray:
+    """Rows sqrt(lam_j) v_j of the support eigendecomposition of the PSD
+    matrix mat, rho or one of its unnormalized blocks: B (r, d), with r = 0
+    when no eigenvalue exceeds RANK_THRESHOLD. Every ensemble of mat is the
+    rows of W @ B for an m x r isometry W (Hughston, Jozsa & Wootters,
+    PLA 183, 14 (1993))."""
+    lam, vec = np.linalg.eigh(mat)
     keep = lam > RANK_THRESHOLD
     return np.ascontiguousarray((vec[:, keep] * np.sqrt(lam[keep])).T)
 
@@ -102,7 +106,7 @@ def decomposition_from_isometry(rho: DensityMatrix, W: np.ndarray) -> Decomposit
     """Ensemble |psi_e> = sum_j W_ej sqrt(lam_j) |v_j> from the support
     eigendecomposition of rho; p_e is the squared norm of each row."""
     W = np.asarray(W, dtype=complex)
-    b = _support_rows(rho)
+    b = _support_rows(rho.mat)
     r = b.shape[0]
     if W.ndim != 2 or W.shape[1] != r:
         raise RankMismatch(
@@ -120,33 +124,29 @@ def roof_objective(decomp: Decomposition) -> float:
     return float(decomp.weights @ entropy_bits(q / q.sum(axis=1, keepdims=True)))
 
 
-def _blocks(mat: np.ndarray) -> Optional[list]:
-    """Index arrays of the computational-basis blocks of rho, or None when
-    there is one: the connected components of the graph with an edge
+def _blocks(mat: np.ndarray) -> list:
+    """Index arrays of the computational-basis blocks of rho, [arange(d)]
+    for one block: the connected components of the graph with an edge
     wherever rho_ij != 0 or rho_ji != 0 (a validated rho is Hermitian only
     to a tolerance). Only exact zeros separate blocks; a tolerance would
     move the value by a continuity bound instead of keeping it exact."""
-    linked = (mat != 0) | (mat.T != 0)
-    if linked.all():
-        return None
     # Squaring the reachability matrix doubles the path length it covers,
     # so it stops growing within log2(d) products.
-    reach = linked | np.eye(len(mat), dtype=bool)
+    reach = (mat != 0) | (mat.T != 0) | np.eye(len(mat), dtype=bool)
     while not np.array_equal(grown := reach @ reach, reach):
         reach = grown
     # A block's lowest basis index is the first one its rows reach.
     lowest = np.flatnonzero(reach.argmax(axis=1) == np.arange(len(mat)))
-    if len(lowest) == 1:
-        return None
     return [np.flatnonzero(reach[k]) for k in lowest]
 
 
-def _block_rows(rho: DensityMatrix, config: RoofConfig):
-    """Ensemble rows of one block, whether its descent converged and
-    whether one ran: a rank-1 rho is its own one-member ensemble."""
-    b = _support_rows(rho)
+def _block_rows(block: np.ndarray, config: RoofConfig):
+    """Ensemble rows of one unnormalized block of rho, whether its descent
+    converged and whether one ran: a block of rank 1 is its own ensemble,
+    and one of rank 0 has no member."""
+    b = _support_rows(block)
     r = b.shape[0]
-    if r == 1:
+    if r <= 1:
         return b, True, False
     m = r * r
     g = np.empty((config.restarts, m, r), dtype=complex)
@@ -154,59 +154,55 @@ def _block_rows(rho: DensityMatrix, config: RoofConfig):
         rng = np.random.default_rng(child)
         g[i] = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
     w0, _ = np.linalg.qr(g)
+    # Until the kernel holds an L-BFGS pair its direction is the raw
+    # gradient, which scales with the block's trace, and its line search
+    # starts at t = 1: a block of small trace crawls. Scaling the rows by a
+    # power of two, exactly and by 1 for a trace-1 rho, brings the trace
+    # the kernel sees into [1/2, 2].
+    scale = 2.0 ** round(-0.5 * math.log2(np.trace(block).real))
     _, psi, converged = _kernels.roof_descent(
-        w0 @ b, MAX_ITERATIONS, TOLERANCE_BITS * _kernels.LN2
+        w0 @ b * scale, MAX_ITERATIONS, TOLERANCE_BITS * _kernels.LN2
     )
-    return psi, converged, True
+    return psi / scale, converged, True
 
 
 def optimize_roof(rho: DensityMatrix, config: RoofConfig = RoofConfig()) -> RoofResult:
     """Minimize the roof objective over m = r^2 element decompositions, the
-    size that always attains a rank-r roof (Uhlmann, OSID 5, 209 (1998)).
+    size that always attains a rank-r roof (Uhlmann, OSID 5, 209 (1998)),
+    block by block: each bare block of rho (module docstring) gets its own
+    ensemble, whose rows are embedded back into C^d as they are.
 
     Multi-start descent: every restart starts from an isometry drawn with a
     seed derived deterministically from the master seed, all restarts
     descend in one batched kernel call, and the best is taken by lowest
     value, then lowest restart index. The returned value is an upper
-    estimate of the true roof (the descent approaches it from above).
-
-    A rho whose entries vanish exactly between blocks B_k of the basis is
-    split first, by the direct-sum identity R(rho) = sum_k w_k R(rho_k)
-    (module docstring). Each block rho_k of weight w_k > 0 gets the path
-    above with the same config, or is its own ensemble at rank 1, and its
-    rows, scaled by sqrt(w_k), are embedded back into C^d. A rho of one
-    block takes that path on the whole of rho.
+    estimate of the true roof (the descent approaches it from above). Each
+    block descends at a trace in [1/2, 2] (see :func:`_block_rows`), so the
+    stall stop measures it at about unit trace. A block whose eigenvalues
+    are all at most RANK_THRESHOLD adds no member, as rho's own
+    eigendecomposition would drop them.
     """
     if config.restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {config.restarts}")
-    blocks = _blocks(rho.mat)
-    if blocks is None:
-        psi, converged, descended = _block_rows(rho, config)
-    else:
-        parts, converged, descended = [], True, False
-        for idx in blocks:
-            sub = rho.mat[np.ix_(idx, idx)]
-            w = float(np.trace(sub).real)
-            if w <= 0:  # a zero diagonal entry of a PSD rho: no member lies here
-                continue
-            rows, block_converged, block_descended = _block_rows(DensityMatrix(sub / w), config)
-            part = np.zeros((len(rows), rho.dim), dtype=complex)
-            part[:, idx] = np.sqrt(w) * rows
-            parts.append(part)
-            converged &= block_converged
-            descended |= block_descended
-        psi = np.concatenate(parts)
-    decomp = _ensemble(rho, psi)
+    parts, converged, descended = [], True, False
+    for idx in _blocks(rho.mat):
+        rows, block_converged, block_descended = _block_rows(rho.mat[np.ix_(idx, idx)], config)
+        part = np.zeros((len(rows), rho.dim), dtype=complex)
+        part[:, idx] = rows
+        parts.append(part)
+        converged &= block_converged
+        descended |= block_descended
+    decomp = _ensemble(rho, np.concatenate(parts))
     return RoofResult(
         roof_objective(decomp), decomp, converged, config.restarts if descended else 0
     )
 
 
-def regularized_roof_estimate(rho: DensityMatrix, config: Optional[RoofConfig] = None) -> float:
+def regularized_roof_estimate(rho: DensityMatrix, config: RoofConfig = RoofConfig()) -> float:
     """Per-copy roof value of rho (x) rho in the product basis."""
     if rho.dim**2 > 16:
         raise TooLarge(f"d^2 = {rho.dim**2} exceeds the optimizer bound of 16")
-    result = optimize_roof(DensityMatrix(np.kron(rho.mat, rho.mat)), config or RoofConfig())
+    result = optimize_roof(DensityMatrix(np.kron(rho.mat, rho.mat)), config)
     return result.value / 2
 
 
@@ -215,7 +211,7 @@ def brute_force_roof_qubit(rho: DensityMatrix, grid_n: int) -> float:
     (two angles, grid_n points each) applied to the eigendecomposition."""
     if rho.dim != 2:
         raise DimensionNot2(f"brute-force oracle needs d=2, got d={rho.dim}")
-    b = _support_rows(rho)
+    b = _support_rows(rho.mat)
     if b.shape[0] == 1:
         return r_pure(PureState(b[0]))
     return _kernels.qubit_grid_min(b, grid_n)

@@ -162,16 +162,24 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(entropy_bits(np.linalg.eigvalsh(rho.mat)))
 
 
-def shannon_entropy(p) -> float:
-    """H(p) = -sum p_i log2 p_i, in bits, with 0 log 0 = 0: the
-    :func:`entropy_bits` of a checked probability vector."""
+def _checked_probabilities(p) -> np.ndarray:
+    """p as a flat float array, checked as a probability vector: every
+    entry finite (else NotFinite), none below -NORM_TOL and a sum within
+    NORM_TOL of 1 (else ValueError)."""
     p = np.asarray(p, dtype=float).ravel()
+    _require_finite(p, "probability vector")
     if np.any(p < -NORM_TOL):
         raise ValueError(f"negative probability: min p_i = {p.min():.3e}")
     sum_dev = abs(float(p.sum()) - 1.0)
     if sum_dev > NORM_TOL:
         raise ValueError(f"|sum p_i - 1| = {sum_dev:.3e} > {NORM_TOL:.1e}")
-    return float(entropy_bits(p))
+    return p
+
+
+def shannon_entropy(p) -> float:
+    """H(p) = -sum p_i log2 p_i, in bits, with 0 log 0 = 0: the
+    :func:`entropy_bits` of a checked probability vector."""
+    return float(entropy_bits(_checked_probabilities(p)))
 
 
 def _draw_outcomes(probs: np.ndarray, n: int, seed: int) -> np.ndarray:

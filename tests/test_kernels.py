@@ -7,12 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from cohrand import DensityMatrix, _kernels, r_qubit_analytic, random_density
+from cohrand import DensityMatrix, _kernels, r_qubit_analytic, random_density, roof
 from cohrand.roof import _support_rows as support_rows
 
 
 def random_ensemble(d, seed):
-    bt = support_rows(random_density(d, d, seed))
+    bt = support_rows(random_density(d, d, seed).mat)
     g = np.random.default_rng(seed + 1)
     w0, _ = np.linalg.qr(g.standard_normal((d * d, d)) + 1j * g.standard_normal((d * d, d)))
     return bt, w0
@@ -114,7 +114,7 @@ class TestRoofDescent:
         # themselves, padded with zero rows) is stationary: it stops at
         # iteration 0 while the random restarts around it keep descending.
         lam = np.arange(1, d + 1) / (d * (d + 1) / 2)
-        bt = support_rows(DensityMatrix(np.diag(lam).astype(complex)))
+        bt = support_rows(np.diag(lam).astype(complex))
         w0 = self.random_stack(d, 4, seed=d)
         w0[2] = np.eye(d * d, d)
         psi0 = w0 @ bt
@@ -131,7 +131,7 @@ class TestRoofDescent:
         # unconverged. A zero tolerance switches the stall stop off, which
         # would otherwise stop the L-BFGS descent first (at 5.7e-13), and
         # the gradient there is above the 1e-22 stop.
-        bt = support_rows(DensityMatrix(np.diag([0.25, 0.75]).astype(complex)))
+        bt = support_rows(np.diag([0.25, 0.75]).astype(complex))
         psi0 = self.random_stack(2, 1, seed=2) @ bt
         lo, hi = 0, 300  # the restart stops within hi iterations, not lo
         while hi - lo > 1:
@@ -154,7 +154,7 @@ class TestRoofDescent:
         # tolerance switches the stall stop off.
         a, b = (random_density(2, 2, seed=s) for s in (10, 11))
         rho = DensityMatrix(np.kron(a.mat, b.mat))
-        psi0 = self.random_stack(4, 4, 11) @ support_rows(rho)
+        psi0 = self.random_stack(4, 4, 11) @ support_rows(rho.mat)
         value, psi, converged = _kernels.roof_descent(psi0, 250, 0.0)
         assert not converged
         assert np.max(np.abs(psi.T @ psi.conj() - rho.mat)) < 1e-12
@@ -168,7 +168,7 @@ class TestRoofDescent:
         b[:2, :2] = 0.6 * random_density(2, 2, seed=36).mat
         b[2, 2] = 0.4
         rho = np.kron(random_density(2, 2, seed=35).mat, b)
-        psi0 = self.random_stack(6, 1, seed=6) @ support_rows(DensityMatrix(rho))
+        psi0 = self.random_stack(6, 1, seed=6) @ support_rows(rho)
         value, psi, converged = _kernels.roof_descent(psi0, 1000, 0.0)
         assert not converged
         assert np.max(np.abs(psi.T @ psi.conj() - rho)) < 1e-12
@@ -184,7 +184,7 @@ class TestRoofDescent:
             return eigh(*args, **kwargs)
 
         rho = random_density(3, 3, seed=3)
-        psi0 = self.random_stack(3, 4, seed=3) @ support_rows(rho)
+        psi0 = self.random_stack(3, 4, seed=3) @ support_rows(rho.mat)
         monkeypatch.setattr(np.linalg, "eigh", spy)
         value, psi, converged = _kernels.roof_descent(psi0, 2000, TOL_NATS)
         assert converged and not calls
@@ -199,7 +199,7 @@ class TestRoofDescent:
         # restarts descend exactly as they would alone. With lowest, its
         # starting value reads -1 nats, so it is the restart returned.
         rho = random_density(2, 2, seed=12)
-        psi0 = self.random_stack(2, 3, seed=12) @ support_rows(rho)
+        psi0 = self.random_stack(2, 3, seed=12) @ support_rows(rho.mat)
         singles = [_kernels.roof_descent(psi0[i : i + 1], 300, TOL_NATS) for i in (0, 2)]
         entropy_terms = _kernels._entropy_terms
         calls = []
@@ -230,11 +230,68 @@ class TestRoofDescent:
         # A budget between the restarts' own iteration counts (18-30 at
         # d = 2, 30-36 at d = 3): some stop on max_iter, unconverged,
         # while the others converge.
-        bt = support_rows(random_density(d, d, seed=seed))
+        bt = support_rows(random_density(d, d, seed=seed).mat)
         psi0 = self.random_stack(d, 5, seed=seed + 10) @ bt
         singles = assert_batch_matches_single_restarts(psi0, max_iter)
         flags = [converged for _, _, converged in singles]
         assert any(flags) and not all(flags)
+
+
+class TestWeightScaling:
+    """A block of rho enters the descent unnormalized, its rows carrying
+    the square root of its trace w. The objective and its gradient scale
+    linearly in w; the descent does not quite, since its first direction,
+    before it holds an L-BFGS pair, is the raw gradient."""
+
+    @staticmethod
+    def stack(d, seed):
+        bt = support_rows(random_density(d, d, 60 + seed + 10 * d).mat)
+        g = np.random.default_rng(seed)
+        shape = (4, d * d, d)
+        return np.linalg.qr(g.standard_normal(shape) + 1j * g.standard_normal(shape))[0] @ bt
+
+    @pytest.mark.parametrize("w", [0.3, 1e-3])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_objective_and_generator_scale_linearly(self, d, w):
+        # sum_e p_e = sum_ei q_ei, so the ln w terms of sum p ln p and
+        # sum q ln q cancel; ln p - ln q, and so the generator's D, is
+        # unchanged, and M = psi (D o psi)^dag gains the factor w.
+        psi = self.stack(d, seed=d)
+        f, A = objective(psi), generator(psi)
+        f_w, A_w = objective(np.sqrt(w) * psi), generator(np.sqrt(w) * psi)
+        assert np.max(np.abs(f_w - w * f) / (w * f)) <= 1e-12
+        assert np.max(np.abs(A_w - w * A)) <= 1e-12 * np.max(np.abs(w * A))
+
+    @pytest.mark.parametrize("w", [0.3, 1e-3])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_descent_from_scaled_starts(self, d, w):
+        # The best restart lands within TOLERANCE_BITS of w times the
+        # unscaled descent's value.
+        tol_nats = roof.TOLERANCE_BITS * _kernels.LN2
+        psi0 = self.stack(d, seed=0)
+        value, _, converged = _kernels.roof_descent(psi0, roof.MAX_ITERATIONS, tol_nats)
+        value_w, psi_w, converged_w = _kernels.roof_descent(
+            np.sqrt(w) * psi0, roof.MAX_ITERATIONS, tol_nats
+        )
+        assert converged and converged_w
+        assert abs(value_w - w * value) <= roof.TOLERANCE_BITS
+        assert np.max(np.abs(psi_w.T @ psi_w.conj() - w * (psi0[0].T @ psi0[0].conj()))) < 1e-12
+
+    def test_a_small_trace_crawls_until_rescaled(self):
+        # Restart 0 of this d = 2 stack converges in about 50 iterations.
+        # At trace 1e-3 its steps start 1000x shorter and its curvature
+        # pairs are never stored, so it crawls through a budget of 300
+        # (to all 2000, measured). Scaled by the power of two that
+        # optimize_roof applies, 2^5, its trace is 1.024 and it converges.
+        tol_nats = roof.TOLERANCE_BITS * _kernels.LN2
+        psi0 = self.stack(2, seed=1)[:1]
+        value, _, converged = _kernels.roof_descent(psi0, 300, tol_nats)
+        assert converged
+        small = np.sqrt(1e-3) * psi0
+        assert not _kernels.roof_descent(small, 300, tol_nats)[2]
+        value_s, _, converged_s = _kernels.roof_descent(small * 2.0**5, 300, tol_nats)
+        assert converged_s
+        assert abs(value_s / 1.024 - value) <= roof.TOLERANCE_BITS
 
 
 class TestCayley:
@@ -374,7 +431,7 @@ class TestQubitGrid:
         # A grid minimum can only overshoot the true minimum, and the
         # overshoot shrinks with the grid spacing.
         rho = random_density(2, 2, 2)
-        b = support_rows(rho)
+        b = support_rows(rho.mat)
         exact = r_qubit_analytic(rho)
         coarse = _kernels.qubit_grid_min(b, 24)
         fine = _kernels.qubit_grid_min(b, 96)
@@ -384,7 +441,7 @@ class TestQubitGrid:
     def test_two_angles_reach_the_three_angle_minimum(self):
         # A third angle, a phase b on the whole second output row, moves no
         # |amplitude|^2, so the full three-angle grid has the same minimum.
-        b = support_rows(random_density(2, 2, 7))
+        b = support_rows(random_density(2, 2, 7).mat)
         n = 16
         a = 0.5 * math.pi * np.arange(n)[:, None, None] / n
         eb = np.exp(2j * math.pi * np.arange(n) / n)[:, None]

@@ -16,7 +16,7 @@ from cohrand import (
     sample_measurement,
     toeplitz_extract,
 )
-from cohrand.errors import RateOutOfRange
+from cohrand.errors import NotFinite, RateOutOfRange
 
 
 class TestMonobit:
@@ -57,6 +57,19 @@ class TestEntropies:
     def test_min_entropy(self):
         assert min_entropy([0.5, 0.5]) == pytest.approx(1.0)
         assert min_entropy([0.25, 0.75]) == pytest.approx(-math.log2(0.75))
+
+    def test_min_entropy_checks_its_distribution(self):
+        # It checked nothing: [2.0, -1.0] read -1.0 and [0.2, 0.2] read 2.32.
+        # Now a non-finite entry raises NotFinite, then a negative entry or
+        # a sum away from 1 raises ValueError, as for shannon_entropy.
+        for p in ([np.nan, 1.0], [np.inf, 0.0], [np.nan, 0.5, 0.5]):
+            with pytest.raises(NotFinite):
+                min_entropy(p)
+        with pytest.raises(ValueError, match="negative probability"):
+            min_entropy([2.0, -1.0])
+        with pytest.raises(ValueError, match="sum p_i - 1"):
+            min_entropy([0.2, 0.2])
+        assert min_entropy(np.array([[0.5], [0.5]])) == pytest.approx(1.0)
 
 
 class TestToeplitzExtract:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohrand import (
     RoofConfig,
@@ -56,7 +58,7 @@ def unsplit_starts(rho, config):
     """The descent's starts on the whole of rho, drawn as optimize_roof
     draws them for a rho of one block: the QR of each restart's seeded
     Gaussian, stacked, times rho's support rows."""
-    b = _support_rows(rho)
+    b = _support_rows(rho.mat)
     r = b.shape[0]
     g = np.empty((config.restarts, r * r, r), dtype=complex)
     for i, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.restarts)):
@@ -218,7 +220,7 @@ class TestOptimizeRoof:
             for psi, child in zip(starts[-1], np.random.SeedSequence(seed).spawn(16)):
                 rng = np.random.default_rng(child)
                 g = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
-                assert np.array_equal(psi, np.linalg.qr(g)[0] @ _support_rows(rho))
+                assert np.array_equal(psi, np.linalg.qr(g)[0] @ _support_rows(rho.mat))
 
     def test_reports_the_ensemble_the_descent_scored(self, monkeypatch):
         # One eigendecomposition per roof: the descent's rows are the
@@ -364,8 +366,8 @@ def random_panel():
 class TestBlockSplit:
     """R(rho) = sum_k w_k R(rho_k) over the computational-basis blocks of
     rho (Yu, Zhang, Xu & Tong, PRA 94, 060302(R) (2016)): optimize_roof
-    gives each block its own roof, and a rho of one block takes the
-    unsplit path."""
+    gives each bare block P_k rho P_k its own roof, and a rho of one block
+    is that one block."""
 
     def test_blocks_are_the_connected_components_of_the_nonzeros(self):
         chain = np.diag(np.full(5, 0.2)).astype(complex)
@@ -373,8 +375,8 @@ class TestBlockSplit:
             chain[i, i + 1] = chain[i + 1, i] = 0.05
         assert [list(b) for b in _blocks(chain)] == [[0, 1, 2, 3], [4]]
         chain[3, 4] = chain[4, 3] = 0.05
-        assert _blocks(chain) is None
-        assert _blocks(np.full((3, 3), 1 / 3, dtype=complex)) is None
+        assert [list(b) for b in _blocks(chain)] == [[0, 1, 2, 3, 4]]
+        assert [list(b) for b in _blocks(np.full((3, 3), 1 / 3, dtype=complex))] == [[0, 1, 2]]
         interleaved = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
         interleaved[0, 2] = interleaved[2, 0] = interleaved[3, 1] = interleaved[1, 3] = 0.1
         assert [list(b) for b in _blocks(interleaved)] == [[0, 2], [1, 3]]
@@ -395,7 +397,7 @@ class TestBlockSplit:
         # A coherence of 1e-300 links two basis states as any other does.
         mat = np.diag([0.5, 0.5]).astype(complex)
         mat[0, 1] = mat[1, 0] = 1e-300
-        assert _blocks(mat) is None
+        assert [list(b) for b in _blocks(mat)] == [[0, 1]]
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_diagonal_state_is_exactly_zero(self, d):
@@ -455,6 +457,68 @@ class TestBlockSplit:
         assert not result.converged
         assert result.restarts_used == QUDIT_CONFIG.restarts
 
+    @staticmethod
+    @st.composite
+    def interleaved_sums(draw):
+        """(rho, [(w_k, rho_k)]): block-diagonal rho at d = 3-6 up to a
+        random basis permutation, with 2-3 blocks rho_k =
+        random_density(d_k, r_k, seed), r_k <= 3, and random weights w_k."""
+        d = draw(st.integers(3, 6))
+        n = draw(st.integers(2, min(3, d)))
+        cuts = sorted(draw(st.lists(st.integers(1, d - 1), min_size=n - 1, max_size=n - 1, unique=True)))
+        sizes = np.diff([0, *cuts, d])
+        raw = [draw(st.floats(1e-4, 1.0)) for _ in sizes]
+        blocks = [
+            (x / sum(raw), random_density(k, draw(st.integers(1, min(k, 3))), draw(st.integers(0, 999))))
+            for x, k in zip(raw, sizes)
+        ]
+        mat, _ = direct_sum(*((w, (b.mat, 0.0)) for w, b in blocks))
+        perm = np.array(draw(st.permutations(range(d))))
+        return DensityMatrix(mat[np.ix_(perm, perm)]), blocks
+
+    def test_interleaved_sum_is_the_weighted_sum_of_its_blocks(self):
+        # The split ensemble mixes to rho, and the value is within
+        # TOLERANCE_BITS of sum_k w_k R(rho_k), each roof descended alone.
+        gaps = []
+
+        @settings(derandomize=True, max_examples=25, deadline=None, database=None)
+        @given(self.interleaved_sums())
+        def check(case):
+            rho, blocks = case
+            result = optimize_roof(rho, QUDIT_CONFIG)
+            assert result.converged
+            assert np.max(np.abs(result.best_decomposition.mixture() - rho.mat)) <= 1e-12
+            parts = sum(w * optimize_roof(b, QUDIT_CONFIG).value for w, b in blocks)
+            gaps.append(abs(result.value - parts))
+            assert gaps[-1] <= roof.TOLERANCE_BITS
+
+        check()
+        print(f"largest gap to the sum of block roofs: {max(gaps):.2e} bits")
+
+    def test_negligible_block_adds_no_member(self):
+        # The second block's eigenvalues, about 1e-11, are below
+        # RANK_THRESHOLD, so it has rank 0, as in rho's own
+        # eigendecomposition; normalized, it added 3 members.
+        w = 1e-11
+        mat, exact = direct_sum((1 - w, qubit(5)), (w, qubit(6)))
+        result = optimize_roof(DensityMatrix(mat), QUDIT_CONFIG)
+        assert len(result.best_decomposition.weights) == 4
+        assert result.converged
+        assert abs(result.value - exact) <= 1e-10
+        assert np.max(np.abs(result.best_decomposition.mixture() - mat)) <= 1e-10
+
+    @pytest.mark.parametrize("w", [1e-3, 1e-4, 1e-5])
+    def test_block_of_small_trace_reaches_its_roof(self, w):
+        # (1 - w) rho_{100+s} (+) w rho_{200+s} with one restart: the small
+        # block descends at a trace in [1/2, 2]. Descended at trace w, its
+        # restart crawls: over s = 0-19, 12 values at w = 1e-4 and 15 at
+        # w = 1e-5 stopped more than 1e-8 bits above exact, up to 7.5e-5.
+        for s in range(5):
+            mat, exact = direct_sum((1 - w, qubit(100 + s)), (w, qubit(200 + s)))
+            result = optimize_roof(DensityMatrix(mat), RoofConfig(restarts=1, seed=s))
+            assert result.converged
+            assert abs(result.value - exact) <= 1e-9, f"s = {s}"
+
     @pytest.mark.parametrize("panel", [criterion_one_qubits, qudit_products, random_panel])
     def test_one_block_input_takes_the_unsplit_path(self, panel, monkeypatch):
         # None of these inputs has a zero entry. The kernel must run once,
@@ -473,9 +537,9 @@ class TestBlockSplit:
             calls.clear()
             assert np.all(rho.mat != 0)
             result = optimize_roof(rho, config)
-            if _support_rows(rho).shape[0] == 1:
+            if _support_rows(rho.mat).shape[0] == 1:
                 assert calls == [] and result.restarts_used == 0 and result.converged
-                expected = _ensemble(rho, _support_rows(rho))
+                expected = _ensemble(rho, _support_rows(rho.mat))
             else:
                 [((starts, max_iter, tol_nats), (_, psi, converged))] = calls
                 assert np.array_equal(starts, unsplit_starts(rho, config))

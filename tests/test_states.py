@@ -144,6 +144,13 @@ class TestEntropies:
         with pytest.raises(ValueError):
             shannon_entropy([1.2, -0.2])
 
+    def test_shannon_rejects_non_finite_entries(self):
+        # NaN fails every tolerance comparison, so without the finiteness
+        # check [nan, 0.5, 0.5] read 1.0 and [nan, 1.0] read 0.0.
+        for p in ([np.nan, 0.5, 0.5], [np.nan, 1.0], [np.inf, 0.0], [0.5, -np.inf, 0.5]):
+            with pytest.raises(NotFinite):
+                shannon_entropy(p)
+
     def test_shannon_zero_convention(self):
         assert shannon_entropy([1.0, 0.0, 0.0]) == 0.0
 
