@@ -4,8 +4,9 @@
   batched descent, with the closed-form gradient of the objective
   (Röthlisberger, Lehmann & Loss, PRA 80, 042301 (2009)) and
   limited-memory BFGS directions on the unitary group, which fall back to
-  the gradient when they do not descend, and Cayley steps. Its loop keeps
-  few, contiguous numpy calls per iteration: the L-BFGS memory is stored
+  the gradient when they do not descend, and Cayley steps, each restart
+  scaled by a power of two to a trace in [1/2, 2]. Its loop keeps few,
+  contiguous numpy calls per iteration: the L-BFGS memory is stored
   slot by slot, every row dot product is one np.vecdot (numpy >= 2.0),
   and a boolean mask is tested with np.count_nonzero, which costs about a
   third of .any()/.all() on a restart-sized mask;
@@ -15,9 +16,9 @@
 tests/test_kernels.py checks them against central differences, exp(tH),
 the naive Toeplitz product and the analytic qubit roof, the FFT length
 against a brute-force search, a batched descent against its restarts one
-by one and against a restart whose trials read NaN, and the direction
-against the dense BFGS update, its fallback, which steps the memory keeps
-and the masked push against the unmasked one.
+by one, a restart whose trials read NaN and its starts scaled by 2^k, and
+the direction against the dense BFGS update, its fallback, which steps the
+memory keeps and the masked push against the unmasked one.
 """
 
 from __future__ import annotations
@@ -151,30 +152,35 @@ def _cayley(H, HP, psi, t, eye):
     return np.linalg.solve(eye - h * H, psi + h * HP)
 
 
-def roof_descent(psi0, max_iter, tol_nats):
+def roof_descent(psi0, max_iter, tol_bits):
     """Local descent over the ensembles of one state from every restart at once.
 
-    psi0 stacks R starting ensembles (R, m, d), a C-contiguous complex128
-    array, each row an unnormalized pure state. Steps are
-    the unitaries of :func:`_cayley`, which keep the mixture psi^T psi^*
-    fixed; no eigendecomposition is taken. H in u(m) is the L-BFGS
-    direction of :func:`_lbfgs_direction`, built from the closed-form
-    gradient generator A of :func:`_generator` and the restart's last
-    MEMORY steps: the accepted step's generator s = t H and
-    y = A_before - A_after, both formed on the real views and kept only
-    when <s, y> > 0 (on the unitary group under any retraction, as in
-    Huang, Gallivan & Absil, SIAM J. Optim. 25, 1660 (2015)). H acts on
-    the left, so a stored pair carries over to the new point as it is. H
-    falls back to A when it is not a descent direction
-    (1/2 Re tr(A^dag H) <= 0). An Armijo backtracking line search from
-    t = 1 picks t. Each restart keeps its own memory, line search, stall
-    count and stop rule, and leaves the active set when it stops, so it
-    follows the same path it would follow alone.
+    psi0 stacks R starting ensembles (R, m, d), each row an unnormalized
+    pure state, each restart of any positive trace w. Steps are the
+    unitaries of :func:`_cayley`, which keep the mixture psi^T psi^* fixed;
+    no eigendecomposition is taken. H in u(m) is the L-BFGS direction of
+    :func:`_lbfgs_direction`, built from the closed-form gradient generator
+    A of :func:`_generator` and the restart's last MEMORY steps: the
+    accepted step's generator s = t H and y = A_before - A_after, both
+    formed on the real views and kept only when <s, y> > 0 (on the unitary
+    group under any retraction, as in Huang, Gallivan & Absil, SIAM J.
+    Optim. 25, 1660 (2015)). H acts on the left, so a stored pair carries
+    over to the new point as it is. H falls back to A when it is not a
+    descent direction (1/2 Re tr(A^dag H) <= 0). An Armijo backtracking line
+    search from t = 1 picks t. Each restart keeps its own memory, line
+    search, stall count and stop rule, and leaves the active set when it
+    stops, so it follows the same path it would follow alone.
 
-    Returns (objective in bits, final rows (m, d), converged flag) of the
-    best restart: the lowest value, then the lowest index.
+    Until a restart holds a pair its direction is A, which scales with w
+    while t starts at 1, so each restart descends a copy of its rows scaled
+    exactly by 2^j, j = round(-log2(w) / 2), to a trace in [1/2, 2], where
+    its stall stop reads tol_bits. Returns, unscaled, (objective in bits,
+    final rows (m, d), converged flag) of the best restart: the lowest
+    value, then the lowest index.
     """
-    psi = psi0
+    j = np.rint(-0.5 * np.log2(np.sum(np.abs(psi0) ** 2, axis=(1, 2)))).astype(int)
+    psi = np.ascontiguousarray(psi0 * np.ldexp(1.0, j)[:, None, None], dtype=complex)
+    tol_nats = tol_bits * LN2
     f, *terms = _entropy_terms(psi)
     A = _generator(psi, *terms)
     n, m = psi.shape[:2]
@@ -230,9 +236,9 @@ def roof_descent(psi0, max_iter, tol_nats):
             idx, psi, f, stall, A, gamma = (x[keep] for x in (idx, psi, f, stall, A, gamma))
             S, Y, rho = (x[:, keep] for x in (S, Y, rho))
     f_out[idx], psi_out[idx] = f, psi
-    values = f_out / LN2
+    values = np.ldexp(f_out / LN2, -2 * j)
     best = int(np.argmin(values))
-    return float(values[best]), psi_out[best], bool(converged[best])
+    return float(values[best]), np.ldexp(1.0, -j[best]) * psi_out[best], bool(converged[best])
 
 
 # --------------------------------------------------------------------------

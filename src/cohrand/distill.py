@@ -88,6 +88,8 @@ def distill_exact(psi: PureState, n_copies: int) -> ExactRun:
     Each post-measurement state is checked to be maximally coherent in its
     subspace (all nonzero amplitudes of magnitude 1 / sqrt(C(N,k))).
     """
+    if n_copies < 1:
+        raise ValueError(f"need n_copies >= 1, got {n_copies}")
     if n_copies > EXACT_MODE_MAX_QUBITS:
         raise TooLarge(
             f"exact mode materializes 2^{n_copies} amplitudes; limit is "

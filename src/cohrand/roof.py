@@ -20,7 +20,6 @@ of one block is one turn of the same loop.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,9 +140,9 @@ def _blocks(mat: np.ndarray) -> list:
 
 
 def _block_rows(block: np.ndarray, config: RoofConfig):
-    """Ensemble rows of one unnormalized block of rho, whether its descent
-    converged and whether one ran: a block of rank 1 is its own ensemble,
-    and one of rank 0 has no member."""
+    """Ensemble rows of one unnormalized block of rho, at its own trace,
+    whether its descent converged and whether one ran: a block of rank 1
+    is its own ensemble, and one of rank 0 has no member."""
     b = _support_rows(block)
     r = b.shape[0]
     if r <= 1:
@@ -154,16 +153,8 @@ def _block_rows(block: np.ndarray, config: RoofConfig):
         rng = np.random.default_rng(child)
         g[i] = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
     w0, _ = np.linalg.qr(g)
-    # Until the kernel holds an L-BFGS pair its direction is the raw
-    # gradient, which scales with the block's trace, and its line search
-    # starts at t = 1: a block of small trace crawls. Scaling the rows by a
-    # power of two, exactly and by 1 for a trace-1 rho, brings the trace
-    # the kernel sees into [1/2, 2].
-    scale = 2.0 ** round(-0.5 * math.log2(np.trace(block).real))
-    _, psi, converged = _kernels.roof_descent(
-        w0 @ b * scale, MAX_ITERATIONS, TOLERANCE_BITS * _kernels.LN2
-    )
-    return psi / scale, converged, True
+    _, psi, converged = _kernels.roof_descent(w0 @ b, MAX_ITERATIONS, TOLERANCE_BITS)
+    return psi, converged, True
 
 
 def optimize_roof(rho: DensityMatrix, config: RoofConfig = RoofConfig()) -> RoofResult:
@@ -176,11 +167,10 @@ def optimize_roof(rho: DensityMatrix, config: RoofConfig = RoofConfig()) -> Roof
     seed derived deterministically from the master seed, all restarts
     descend in one batched kernel call, and the best is taken by lowest
     value, then lowest restart index. The returned value is an upper
-    estimate of the true roof (the descent approaches it from above). Each
-    block descends at a trace in [1/2, 2] (see :func:`_block_rows`), so the
-    stall stop measures it at about unit trace. A block whose eigenvalues
-    are all at most RANK_THRESHOLD adds no member, as rho's own
-    eigendecomposition would drop them.
+    estimate of the true roof (the descent approaches it from above); the
+    kernel's stall stop sees each block at about unit trace. A block whose
+    eigenvalues are all at most RANK_THRESHOLD adds no member, as rho's
+    own eigendecomposition would drop them.
     """
     if config.restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {config.restarts}")
@@ -209,6 +199,8 @@ def regularized_roof_estimate(rho: DensityMatrix, config: RoofConfig = RoofConfi
 def brute_force_roof_qubit(rho: DensityMatrix, grid_n: int) -> float:
     """Independent oracle: exhaustive grid over 2x2 mixing unitaries
     (two angles, grid_n points each) applied to the eigendecomposition."""
+    if grid_n < 1:
+        raise ValueError(f"grid_n must be at least 1, got {grid_n}")
     if rho.dim != 2:
         raise DimensionNot2(f"brute-force oracle needs d=2, got d={rho.dim}")
     b = _support_rows(rho.mat)

@@ -130,6 +130,13 @@ class TestExactMode:
         with pytest.raises(ValueError):
             distill_exact(maximally_coherent_state(3), 2)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_fewer_than_one_copy(self, n):
+        # As distill_simulate does. Once n = 0 gave a run of no copies and
+        # n = -1 an IndexError.
+        with pytest.raises(ValueError, match="n_copies"):
+            distill_exact(maximally_coherent_state(2), n)
+
     def test_sampling_counts(self):
         run = distill_exact(maximally_coherent_state(2), 4)
         counts = sample_exact_outcomes(run, 1000, seed=0)

@@ -3,14 +3,17 @@ of its modules may import which."""
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cohrand
+from cohrand import _kernels, random_density, roof
 from cohrand.stateio import save_state
 
 PACKAGE = Path(cohrand.__file__).resolve().parent
@@ -155,3 +158,27 @@ def test_benchmark_traces_names_that_exist():
         if not callable(getattr(importlib.import_module(f"cohrand.{module}"), attr, None)):
             missing.append(name)
     assert missing == []
+
+
+def test_benchmark_reads_the_kernels_value_in_bits():
+    # The benchmark's tracer keeps (value, converged) of each roof_descent
+    # result and compares the values of one roof call's descents. Fed the
+    # kernel's result on a block of trace 0.3, as the block split hands it
+    # over, the value it keeps must be the roof objective of the returned
+    # rows, in bits at the block's own trace.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", PACKAGE.parents[1] / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    b = roof._support_rows(0.3 * random_density(2, 2, seed=7).mat)
+    g = np.random.default_rng(7)
+    w0, _ = np.linalg.qr(g.standard_normal((4, 4, 2)) + 1j * g.standard_normal((4, 4, 2)))
+    result = _kernels.roof_descent(w0 @ b, roof.MAX_ITERATIONS, roof.TOLERANCE_BITS)
+    value, converged = tracing._roof_descent_extra(result)
+    rows = result[1]
+    p = np.sum(np.abs(rows) ** 2, axis=1)
+    keep = p > 0
+    decomp = roof.Decomposition(p[keep], rows[keep] / np.sqrt(p[keep])[:, None])
+    assert converged
+    assert abs(value - roof.roof_objective(decomp)) <= 1e-12

@@ -66,7 +66,7 @@ class TestRoofGradient:
         assert np.max(np.abs(generator(psi))) == 0.0
 
 
-TOL_NATS = 1e-8 * math.log(2.0)
+TOL_BITS = 1e-8
 
 
 def assert_batch_matches_single_restarts(psi0, max_iter):
@@ -75,11 +75,11 @@ def assert_batch_matches_single_restarts(psi0, max_iter):
     stack and for every stack that leaves one restart out. Returns the
     single-restart results."""
     n = len(psi0)
-    singles = [_kernels.roof_descent(psi0[i : i + 1], max_iter, TOL_NATS) for i in range(n)]
+    singles = [_kernels.roof_descent(psi0[i : i + 1], max_iter, TOL_BITS) for i in range(n)]
     subsets = [list(range(n))]
     subsets += [[i for i in range(n) if i != out] for out in range(n)]
     for subset in subsets:
-        value, psi, converged = _kernels.roof_descent(psi0[subset], max_iter, TOL_NATS)
+        value, psi, converged = _kernels.roof_descent(psi0[subset], max_iter, TOL_BITS)
         best_value, best_psi, best_converged = min((singles[i] for i in subset), key=lambda s: s[0])
         assert value == best_value
         assert np.array_equal(psi, best_psi)
@@ -93,7 +93,7 @@ class TestRoofDescent:
         rho = random_density(2, 2, seed)
         bt, w0 = random_ensemble(2, seed)
         psi0 = w0 @ bt
-        value, psi, converged = _kernels.roof_descent(psi0[None], 2000, 1e-8 * math.log(2.0))
+        value, psi, converged = _kernels.roof_descent(psi0[None], 2000, TOL_BITS)
         # perfbench/tracing.py unpacks this (float, ndarray, bool) triple.
         assert type(value) is float and type(converged) is bool
         assert isinstance(psi, np.ndarray) and psi.shape == psi0.shape
@@ -186,7 +186,7 @@ class TestRoofDescent:
         rho = random_density(3, 3, seed=3)
         psi0 = self.random_stack(3, 4, seed=3) @ support_rows(rho.mat)
         monkeypatch.setattr(np.linalg, "eigh", spy)
-        value, psi, converged = _kernels.roof_descent(psi0, 2000, TOL_NATS)
+        value, psi, converged = _kernels.roof_descent(psi0, 2000, TOL_BITS)
         assert converged and not calls
         assert np.max(np.abs(psi.T @ psi.conj() - rho.mat)) < 1e-12
 
@@ -200,7 +200,7 @@ class TestRoofDescent:
         # starting value reads -1 nats, so it is the restart returned.
         rho = random_density(2, 2, seed=12)
         psi0 = self.random_stack(2, 3, seed=12) @ support_rows(rho.mat)
-        singles = [_kernels.roof_descent(psi0[i : i + 1], 300, TOL_NATS) for i in (0, 2)]
+        singles = [_kernels.roof_descent(psi0[i : i + 1], 300, TOL_BITS) for i in (0, 2)]
         entropy_terms = _kernels._entropy_terms
         calls = []
 
@@ -215,7 +215,7 @@ class TestRoofDescent:
             return f, *terms
 
         monkeypatch.setattr(_kernels, "_entropy_terms", nan_trials)
-        value, psi, converged = _kernels.roof_descent(psi0, 300, TOL_NATS)
+        value, psi, converged = _kernels.roof_descent(psi0, 300, TOL_BITS)
         assert len(calls) > 60  # restart 1 ran out its 60 halvings
         if lowest:
             assert value == -1.0 / _kernels.LN2 and converged
@@ -240,8 +240,11 @@ class TestRoofDescent:
 class TestWeightScaling:
     """A block of rho enters the descent unnormalized, its rows carrying
     the square root of its trace w. The objective and its gradient scale
-    linearly in w; the descent does not quite, since its first direction,
-    before it holds an L-BFGS pair, is the raw gradient."""
+    linearly in w. The descent's first direction, before it holds an
+    L-BFGS pair, is the raw gradient, while its line search starts at
+    t = 1, so the kernel descends each restart scaled by a power of two to
+    a trace in [1/2, 2] and unscales what it returns: the result is
+    scale-free."""
 
     @staticmethod
     def stack(d, seed):
@@ -267,31 +270,51 @@ class TestWeightScaling:
     def test_descent_from_scaled_starts(self, d, w):
         # The best restart lands within TOLERANCE_BITS of w times the
         # unscaled descent's value.
-        tol_nats = roof.TOLERANCE_BITS * _kernels.LN2
         psi0 = self.stack(d, seed=0)
-        value, _, converged = _kernels.roof_descent(psi0, roof.MAX_ITERATIONS, tol_nats)
+        value, _, converged = _kernels.roof_descent(psi0, roof.MAX_ITERATIONS, TOL_BITS)
         value_w, psi_w, converged_w = _kernels.roof_descent(
-            np.sqrt(w) * psi0, roof.MAX_ITERATIONS, tol_nats
+            np.sqrt(w) * psi0, roof.MAX_ITERATIONS, TOL_BITS
         )
         assert converged and converged_w
         assert abs(value_w - w * value) <= roof.TOLERANCE_BITS
         assert np.max(np.abs(psi_w.T @ psi_w.conj() - w * (psi0[0].T @ psi0[0].conj()))) < 1e-12
 
-    def test_a_small_trace_crawls_until_rescaled(self):
+    @pytest.mark.parametrize("k", [-20, -7, -1, 3])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_power_of_two_starts_scale_the_result_exactly(self, d, k):
+        # 2^k psi0 descends as the very same rows as psi0, whose trace is
+        # 1: the returned value is 4^k times, and the rows 2^k times, the
+        # unscaled ones, bit for bit, with the same flag.
+        psi0 = self.stack(d, seed=1)
+        value, psi, converged = _kernels.roof_descent(psi0, roof.MAX_ITERATIONS, TOL_BITS)
+        value_k, psi_k, converged_k = _kernels.roof_descent(
+            2.0**k * psi0, roof.MAX_ITERATIONS, TOL_BITS
+        )
+        assert value_k == value * 4.0**k
+        assert np.array_equal(psi_k, psi * 2.0**k)
+        assert converged_k == converged
+
+    def test_a_small_trace_converges(self):
         # Restart 0 of this d = 2 stack converges in about 50 iterations.
-        # At trace 1e-3 its steps start 1000x shorter and its curvature
-        # pairs are never stored, so it crawls through a budget of 300
-        # (to all 2000, measured). Scaled by the power of two that
-        # optimize_roof applies, 2^5, its trace is 1.024 and it converges.
-        tol_nats = roof.TOLERANCE_BITS * _kernels.LN2
+        # Descended as given at trace 1e-3, its steps would start 1000x
+        # shorter and its curvature pairs would never be stored, so it
+        # would run all 2000 iterations unconverged.
+        w = 1e-3
         psi0 = self.stack(2, seed=1)[:1]
-        value, _, converged = _kernels.roof_descent(psi0, 300, tol_nats)
-        assert converged
-        small = np.sqrt(1e-3) * psi0
-        assert not _kernels.roof_descent(small, 300, tol_nats)[2]
-        value_s, _, converged_s = _kernels.roof_descent(small * 2.0**5, 300, tol_nats)
-        assert converged_s
-        assert abs(value_s / 1.024 - value) <= roof.TOLERANCE_BITS
+        value, _, converged = _kernels.roof_descent(psi0, roof.MAX_ITERATIONS, TOL_BITS)
+        value_w, _, converged_w = _kernels.roof_descent(
+            np.sqrt(w) * psi0, roof.MAX_ITERATIONS, TOL_BITS
+        )
+        assert converged and converged_w
+        assert abs(value_w - w * value) <= roof.TOLERANCE_BITS
+
+    def test_restarts_of_mixed_traces_stay_independent(self):
+        # Each restart gets its own scale, so a stack of restarts at
+        # traces 1e-3 and 1 returns, bit for bit, the best of its restarts
+        # descended alone, picked on the unscaled values.
+        psi0 = self.stack(2, seed=1) * np.sqrt([1e-3, 1.0, 1e-3, 1.0])[:, None, None]
+        singles = assert_batch_matches_single_restarts(psi0, roof.MAX_ITERATIONS)
+        assert all(converged for _, _, converged in singles)
 
 
 class TestCayley:

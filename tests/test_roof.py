@@ -207,7 +207,7 @@ class TestOptimizeRoof:
         # (m, r) = (4, 2), (9, 3) and (16, 4).
         starts = []
 
-        def descent(psi0, max_iter, tol_nats):
+        def descent(psi0, max_iter, tol_bits):
             starts.append(psi0)
             return 0.0, psi0[0], True
 
@@ -326,8 +326,9 @@ class TestOptimizeRoof:
         config = RoofConfig(restarts=4)
         starts = unsplit_starts(DensityMatrix(mat), config)
         assert starts.shape[-1] == len(mat)
-        tol_nats = roof.TOLERANCE_BITS * _kernels.LN2
-        value, _, converged = _kernels.roof_descent(starts, roof.MAX_ITERATIONS, tol_nats)
+        value, _, converged = _kernels.roof_descent(
+            starts, roof.MAX_ITERATIONS, roof.TOLERANCE_BITS
+        )
         assert converged
         assert value == pytest.approx(exact, abs=1e-7)
 
@@ -509,10 +510,11 @@ class TestBlockSplit:
 
     @pytest.mark.parametrize("w", [1e-3, 1e-4, 1e-5])
     def test_block_of_small_trace_reaches_its_roof(self, w):
-        # (1 - w) rho_{100+s} (+) w rho_{200+s} with one restart: the small
-        # block descends at a trace in [1/2, 2]. Descended at trace w, its
-        # restart crawls: over s = 0-19, 12 values at w = 1e-4 and 15 at
-        # w = 1e-5 stopped more than 1e-8 bits above exact, up to 7.5e-5.
+        # (1 - w) rho_{100+s} (+) w rho_{200+s} with one restart: the kernel
+        # descends the small block at a trace in [1/2, 2]. Descended at
+        # trace w, its restart crawled: over s = 0-19, 12 values at w = 1e-4
+        # and 15 at w = 1e-5 stopped more than 1e-8 bits above exact, up to
+        # 7.5e-5.
         for s in range(5):
             mat, exact = direct_sum((1 - w, qubit(100 + s)), (w, qubit(200 + s)))
             result = optimize_roof(DensityMatrix(mat), RoofConfig(restarts=1, seed=s))
@@ -541,10 +543,10 @@ class TestBlockSplit:
                 assert calls == [] and result.restarts_used == 0 and result.converged
                 expected = _ensemble(rho, _support_rows(rho.mat))
             else:
-                [((starts, max_iter, tol_nats), (_, psi, converged))] = calls
+                [((starts, max_iter, tol_bits), (_, psi, converged))] = calls
                 assert np.array_equal(starts, unsplit_starts(rho, config))
                 assert max_iter == roof.MAX_ITERATIONS
-                assert tol_nats == roof.TOLERANCE_BITS * _kernels.LN2
+                assert tol_bits == roof.TOLERANCE_BITS
                 assert result.converged == converged
                 assert result.restarts_used == config.restarts
                 expected = _ensemble(rho, psi)
@@ -571,6 +573,12 @@ class TestBruteForceOracle:
     def test_rejects_non_qubit(self):
         with pytest.raises(DimensionNot2):
             brute_force_roof_qubit(DensityMatrix(np.eye(3, dtype=complex) / 3), 8)
+
+    @pytest.mark.parametrize("grid_n", [0, -3])
+    def test_rejects_a_grid_of_no_points(self, grid_n):
+        # Once numpy's "zero-size array to reduction operation minimum".
+        with pytest.raises(ValueError, match="grid_n"):
+            brute_force_roof_qubit(random_density(2, 2, seed=44), grid_n)
 
     def test_upper_bounds_analytic(self):
         # A grid minimum can only overshoot the true minimum.
