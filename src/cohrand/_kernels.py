@@ -156,8 +156,9 @@ def roof_descent(psi0, max_iter, tol_bits):
     """Local descent over the ensembles of one state from every restart at once.
 
     psi0 stacks R starting ensembles (R, m, d), each row an unnormalized
-    pure state, each restart of any positive trace w. Steps are the
-    unitaries of :func:`_cayley`, which keep the mixture psi^T psi^* fixed;
+    pure state, each restart of any positive finite trace w (else a
+    ValueError names it). Steps are the unitaries of :func:`_cayley`, which
+    keep the mixture psi^T psi^* fixed;
     no eigendecomposition is taken. H in u(m) is the L-BFGS direction of
     :func:`_lbfgs_direction`, built from the closed-form gradient generator
     A of :func:`_generator` and the restart's last MEMORY steps: the
@@ -178,7 +179,12 @@ def roof_descent(psi0, max_iter, tol_bits):
     final rows (m, d), converged flag) of the best restart: the lowest
     value, then the lowest index.
     """
-    j = np.rint(-0.5 * np.log2(np.sum(np.abs(psi0) ** 2, axis=(1, 2)))).astype(int)
+    w = np.sum(np.abs(psi0) ** 2, axis=(1, 2))
+    bad = ~(np.isfinite(w) & (w > 0))
+    if np.count_nonzero(bad):
+        r = int(np.argmax(bad))
+        raise ValueError(f"restart {r} has trace {w[r]}; each needs a positive finite trace")
+    j = np.rint(-0.5 * np.log2(w)).astype(int)
     psi = np.ascontiguousarray(psi0 * np.ldexp(1.0, j)[:, None, None], dtype=complex)
     tol_nats = tol_bits * LN2
     f, *terms = _entropy_terms(psi)

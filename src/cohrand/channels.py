@@ -9,7 +9,8 @@ checkable reports over seeded random inputs.
 Channel application, the measures and the harnesses have one
 implementation each, which takes a stack: N states as an (N, d, d) array
 and N Kraus sets of k operators as an (N, k, d, d) array. The single-state
-functions call it on a stack of one.
+functions call it on a stack of one. The harnesses hand the measures the
+spectra validation returns, so each distinct matrix is decomposed once.
 """
 
 from __future__ import annotations
@@ -21,14 +22,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NonExactMeasure, NotAPartition
-from .measures import (
-    MeasureId,
-    _c_rel_ent_values,
-    c_l1_values,
-    c_rel_ent_values,
-    r_qubit_analytic_values,
-)
-from .states import DensityMatrix, _seeded_generators, _validated_spectra
+from .measures import MeasureId, c_l1_values, c_rel_ent_values, r_qubit_analytic_values
+from .states import DensityMatrix, _seeded_generators, validate_densities
 
 COLUMN_ZERO_THRESHOLD = 1e-12
 TRACE_PRESERVATION_TOL = 1e-10
@@ -63,23 +58,18 @@ class PropertyReport:
     witness: Optional[object] = None
 
 
-def exact_measure_values(measure: MeasureId, mats: np.ndarray) -> np.ndarray:
+def exact_measure_values(measure: MeasureId, mats: np.ndarray, spectra=None) -> np.ndarray:
     """Evaluate a measure on each matrix of an (N, d, d) stack, where an
     exact value is available.
 
-    The optimizer-based roof is only an upper estimate for d > 2 and would
-    fabricate property violations, so it is rejected there; on qubits the
-    roof has an exact analytic form.
+    ``spectra``, as :func:`~cohrand.states.validate_densities` returns
+    them, go on to the relative-entropy measure. The optimizer-based roof
+    is only an upper estimate for d > 2 and would fabricate property
+    violations, so it is rejected there; on qubits the roof has an exact
+    analytic form.
     """
-    return _exact_values(measure, mats)
-
-
-def _exact_values(measure: MeasureId, mats: np.ndarray, spectra=None) -> np.ndarray:
-    """:func:`exact_measure_values`, given the stack's ascending
-    ``eigvalsh`` spectra if they are known (the harnesses keep them from
-    validation). Only the relative-entropy measure reads them."""
     if measure == MeasureId.REL_ENT:
-        return c_rel_ent_values(mats) if spectra is None else _c_rel_ent_values(mats, spectra)
+        return c_rel_ent_values(mats, spectra)
     if measure == MeasureId.L1:
         return c_l1_values(mats)
     if measure == MeasureId.QUBIT_ANALYTIC:
@@ -172,24 +162,32 @@ def _channel_terms(mats: np.ndarray, kraus: np.ndarray) -> np.ndarray:
     return kraus @ mats[:, None] @ kraus.conj().swapaxes(-1, -2)
 
 
-def _channel_outputs(terms: np.ndarray):
-    """(states, spectra): the validated channel output sum_n K_n rho K_n^dag
-    of each state and its spectrum from validation."""
-    return _validated_spectra(terms.sum(axis=1), tol=1e-9)
-
-
-def _selective_outcomes(terms: np.ndarray):
+def _selective_outcomes(terms: np.ndarray, outputs=None, output_spectra=None):
     """(p, keep, states, spectra): the (N, k) outcome probabilities, the
     mask of outcomes above OUTCOME_DROP_THRESHOLD, and the kept
     post-selected states, validated, in row-major (state, operator) order,
-    with their spectra from validation."""
+    with their spectra from validation.
+
+    Given the validated channel outputs (N, d, d) and their spectra, a kept
+    outcome byte-equal to its own state's output, as a one-operator
+    channel's is where p reads exactly 1.0, takes that output's spectrum,
+    and only the other outcomes are validated."""
     p = np.trace(terms, axis1=-2, axis2=-1).real
     keep = p > OUTCOME_DROP_THRESHOLD
-    return p, keep, *_validated_spectra(terms[keep] / p[keep][:, None, None], tol=1e-9)
+    states = terms[keep] / p[keep][:, None, None]
+    if outputs is None:
+        return p, keep, *validate_densities(states, tol=1e-9)
+    own = np.nonzero(keep)[0]  # the state of each kept outcome
+    same = (states.view(np.uint64) == outputs[own].view(np.uint64)).all(axis=(1, 2))
+    spectra = np.empty(states.shape[:2])
+    spectra[same] = output_spectra[own[same]]
+    spectra[~same] = validate_densities(states[~same], tol=1e-9)[1]
+    return p, keep, states, spectra
 
 
 def apply_channel(rho: DensityMatrix, ks: KrausSet) -> DensityMatrix:
-    states, _ = _channel_outputs(_channel_terms(*_state_and_kraus(rho, ks)))
+    terms = _channel_terms(*_state_and_kraus(rho, ks))
+    states, _ = validate_densities(terms.sum(axis=1), tol=1e-9)
     return DensityMatrix(states[0])
 
 
@@ -223,20 +221,21 @@ def monotonicity_slacks(measures, mats: np.ndarray, kraus: np.ndarray) -> dict:
     """C2a (non-selective) and C2b (selective average) slacks of each
     measure over an (N, d, d) state stack and an (N, k, d, d) stack of
     incoherent Kraus sets: {measure: (slack_a, slack_b)}, arrays of N.
-    Positive slack means a violation. The channel outputs and the kept
-    outcomes are decomposed once, by their validation, and the
-    relative-entropy measure reads those spectra."""
+    Positive slack means a violation. Each distinct channel output and kept
+    outcome is decomposed once, by its validation (an outcome byte-equal
+    to its output shares that output's), and the relative-entropy measure
+    reads those spectra."""
     if not _incoherent_mask(kraus).all():
         raise ValueError("Kraus set is not incoherent; monotonicity is not guaranteed")
     terms = _channel_terms(mats, kraus)
-    outputs, output_spectra = _channel_outputs(terms)
-    p, keep, outcomes, outcome_spectra = _selective_outcomes(terms)
+    outputs, output_spectra = validate_densities(terms.sum(axis=1), tol=1e-9)
+    p, keep, outcomes, outcome_spectra = _selective_outcomes(terms, outputs, output_spectra)
     slacks = {}
     for measure in dict.fromkeys(measures):
         base = exact_measure_values(measure, mats)
         weighted = np.zeros(p.shape)
-        weighted[keep] = p[keep] * _exact_values(measure, outcomes, outcome_spectra)
-        slack_a = _exact_values(measure, outputs, output_spectra) - base
+        weighted[keep] = p[keep] * exact_measure_values(measure, outcomes, outcome_spectra)
+        slack_a = exact_measure_values(measure, outputs, output_spectra) - base
         slacks[measure] = (slack_a, weighted.sum(axis=1) - base)
     return slacks
 
@@ -262,10 +261,10 @@ def convexity_slacks(measures, weights, mats: np.ndarray) -> dict:
     relative-entropy measure reads that spectrum."""
     q = np.asarray(weights, dtype=float)
     n_ens, n, d, _ = mats.shape
-    mixed, spectra = _validated_spectra((q[:, None, None] * mats).sum(axis=1), tol=1e-9)
+    mixed, spectra = validate_densities((q[:, None, None] * mats).sum(axis=1), tol=1e-9)
     members = mats.reshape(n_ens * n, d, d)
     return {
-        measure: _exact_values(measure, mixed, spectra)
+        measure: exact_measure_values(measure, mixed, spectra)
         - (q * exact_measure_values(measure, members).reshape(n_ens, n)).sum(axis=1)
         for measure in dict.fromkeys(measures)
     }

@@ -5,7 +5,8 @@ the exact qubit randomness formula built on the coherence concurrence.
 
 Each measure has one implementation, which takes an (N, d, d) stack of
 density matrices and returns N values in bits; the single-state function
-calls it on a stack of one.
+calls it on a stack of one. The relative-entropy measure also takes the
+stack's spectra, where validation has already computed them.
 """
 
 from __future__ import annotations
@@ -33,22 +34,18 @@ class MeasureId(str, Enum):
     QUBIT_ANALYTIC = "qubit_analytic"
 
 
-def c_rel_ent_values(mats: np.ndarray) -> np.ndarray:
+def c_rel_ent_values(mats: np.ndarray, spectra=None) -> np.ndarray:
     """Relative-entropy coherence S(rho^diag) - S(rho) of each matrix.
 
     The minimum over incoherent states is attained at the dephased state,
     which gives this closed form (cross-checked against a grid minimizer in
     the test suite). The dephased state's spectrum is its own diagonal,
     summed in ascending order as ``eigvalsh`` returns a spectrum. S(rho)
-    comes from one ``eigvalsh`` of the stack; a caller that already holds
-    those spectra passes them to :func:`_c_rel_ent_values` instead.
+    reads ``spectra``, the stack's ascending ``eigvalsh`` eigenvalues
+    (N, d), where the caller holds them, else one ``eigvalsh`` of the stack.
     """
-    return _c_rel_ent_values(mats, np.linalg.eigvalsh(mats))
-
-
-def _c_rel_ent_values(mats: np.ndarray, spectra: np.ndarray) -> np.ndarray:
-    """:func:`c_rel_ent_values` of a stack whose ascending ``eigvalsh``
-    spectra, (N, d), are already known."""
+    if spectra is None:
+        spectra = np.linalg.eigvalsh(mats)
     dephased = np.sort(np.diagonal(mats, axis1=1, axis2=2).real, axis=-1)
     return np.maximum(entropy_bits(dephased) - entropy_bits(spectra), 0.0)
 

@@ -4,7 +4,8 @@ generation.
 
 All entropies are in bits (log base 2). Every operation here is a pure
 function of its inputs plus an explicit seed; returned objects are safe to
-share between threads.
+share between threads. Stack validation also returns the spectra its PSD
+check takes, so S(rho) of a validated state needs no second decomposition.
 """
 
 from __future__ import annotations
@@ -72,23 +73,17 @@ def _require_finite(values, what: str) -> None:
         raise NotFinite(f"{what} has a NaN or infinite entry")
 
 
-def validate_densities(m, tol: float = DEFAULT_TOL) -> np.ndarray:
+def validate_densities(m, tol: float = DEFAULT_TOL):
     """Validate an (N, d, d) stack of raw complex matrices as density
-    matrices and return it as a complex array.
+    matrices. Returns (stack, spectra): the stack as a complex array and
+    the ascending ``eigvalsh`` eigenvalues of each of its matrices, (N, d),
+    from the one decomposition the PSD check takes, for a caller that
+    needs S(rho) of the validated states.
 
     Raises NotFinite / NotHermitian / TraceNotOne / NotPSD for the first
     matrix in the stack that fails, naming the offending magnitude; each
-    matrix is checked in that order. The PSD check decomposes the whole
-    stack; :func:`_validated_spectra` also returns those spectra, for a
-    caller that needs S(rho) of the validated states.
+    matrix is checked in that order.
     """
-    return _validated_spectra(m, tol)[0]
-
-
-def _validated_spectra(m, tol: float):
-    """(stack, spectra): the stack :func:`validate_densities` returns and
-    the ``eigvalsh`` eigenvalues of each of its matrices, ascending, (N, d),
-    from the one decomposition its PSD check takes."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise ValueError(f"expected an (N, d, d) stack, got shape {m.shape}")
@@ -122,7 +117,7 @@ def validate_density(m) -> DensityMatrix:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return DensityMatrix(validate_densities(m[None])[0])
+    return DensityMatrix(validate_densities(m[None])[0][0])
 
 
 def pure_state(amps) -> PureState:

@@ -20,6 +20,7 @@ from cohrand.channels import (
     OUTCOME_DROP_THRESHOLD,
     convexity_slacks,
     exact_measure_value,
+    exact_measure_values,
     monotonicity_slacks,
     random_incoherent_kraus_sets,
 )
@@ -184,6 +185,27 @@ class TestExactMeasureValue:
             MeasureId.QUBIT_ANALYTIC, rho
         )
 
+    @pytest.mark.parametrize(
+        "measure, d",
+        [(m, d) for m in MeasureId for d in range(2, 7) if d == 2 or m in ("rel_ent", "l1")],
+    )
+    def test_spectra_from_validation_give_the_same_values(self, measure, d):
+        # The qubit measures are defined at d = 2 only. The stack holds
+        # every rank of d, pure states included, and the maximally mixed
+        # state, whose spectrum is degenerate.
+        ranks = 1 + np.arange(3 * d) % d
+        mats = random_densities(d, ranks, 300 + 20 * d + np.arange(3 * d))
+        mats[0] = np.eye(d) / d
+        mats, spectra = validate_densities(mats)
+        given = exact_measure_values(measure, mats, spectra)
+        assert np.array_equal(given, exact_measure_values(measure, mats))
+
+    @pytest.mark.parametrize("given", [False, True], ids=["no_spectra", "spectra"])
+    def test_stacked_roof_rejected_above_dimension_two(self, given):
+        mats, spectra = validate_densities(random_densities(3, [1, 2, 3], [1, 2, 3]))
+        with pytest.raises(NonExactMeasure):
+            exact_measure_values(MeasureId.ROOF_RANDOMNESS, mats, spectra if given else None)
+
 
 class TestPropertyHarnesses:
     def test_monotonicity_passes_for_incoherent_channels(self):
@@ -254,15 +276,22 @@ class TestReusedSpectra:
         mats, kraus = self.states_and_channels(d, k)
         ((slack_a, slack_b),) = monotonicity_slacks((MeasureId.REL_ENT,), mats, kraus).values()
         terms = kraus @ mats[:, None] @ kraus.conj().swapaxes(-1, -2)
-        outputs = validate_densities(terms.sum(axis=1), tol=1e-9)
+        outputs, output_spectra = validate_densities(terms.sum(axis=1), tol=1e-9)
         p = np.trace(terms, axis1=-2, axis2=-1).real
         keep = p > OUTCOME_DROP_THRESHOLD
         assert keep.all() != (d >= k >= 2)
-        outcomes = validate_densities(terms[keep] / p[keep][:, None, None], tol=1e-9)
+        if k == 1 and d <= 5:
+            # A one-operator outcome whose p reads exactly 1.0 is its
+            # output, byte for byte, and takes the output's spectrum; the
+            # others are validated on their own.
+            assert 0 < np.count_nonzero(p == 1.0) < p.size
+        outcomes, outcome_spectra = validate_densities(
+            terms[keep] / p[keep][:, None, None], tol=1e-9
+        )
         base = c_rel_ent_values(mats)
         weighted = np.zeros(p.shape)
-        weighted[keep] = p[keep] * c_rel_ent_values(outcomes)
-        assert np.array_equal(slack_a, c_rel_ent_values(outputs) - base)
+        weighted[keep] = p[keep] * c_rel_ent_values(outcomes, outcome_spectra)
+        assert np.array_equal(slack_a, c_rel_ent_values(outputs, output_spectra) - base)
         assert np.array_equal(slack_b, weighted.sum(axis=1) - base)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -273,6 +302,6 @@ class TestReusedSpectra:
         q = np.random.default_rng(d * n).random(n)
         q /= q.sum()
         (slack,) = convexity_slacks((MeasureId.REL_ENT,), q, mats).values()
-        mixed = validate_densities((q[:, None, None] * mats).sum(axis=1), tol=1e-9)
+        mixed, _ = validate_densities((q[:, None, None] * mats).sum(axis=1), tol=1e-9)
         members = c_rel_ent_values(mats.reshape(3 * n, d, d)).reshape(3, n)
         assert np.array_equal(slack, c_rel_ent_values(mixed) - (q * members).sum(axis=1))

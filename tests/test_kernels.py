@@ -3,6 +3,7 @@ differences of the roof objective, the analytic qubit roof and the naive
 Toeplitz product."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -315,6 +316,20 @@ class TestWeightScaling:
         psi0 = self.stack(2, seed=1) * np.sqrt([1e-3, 1.0, 1e-3, 1.0])[:, None, None]
         singles = assert_batch_matches_single_restarts(psi0, roof.MAX_ITERATIONS)
         assert all(converged for _, _, converged in singles)
+
+    @pytest.mark.parametrize(
+        "restart, where, entry", [(0, np.s_[0], 0.0), (1, np.s_[1, 2, 1], math.nan)]
+    )
+    def test_a_restart_without_a_positive_finite_trace_is_refused(self, restart, where, entry):
+        # A zero restart has no scale 2^j (log2 of its trace warns) and
+        # would mix to no state; a NaN entry makes its trace NaN. Either is
+        # refused by name before any arithmetic on the trace.
+        psi0 = self.stack(2, seed=0)[:2]
+        psi0[where] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^restart {restart} has trace (0\.0|nan);"):
+                _kernels.roof_descent(psi0, roof.MAX_ITERATIONS, TOL_BITS)
 
 
 class TestCayley:

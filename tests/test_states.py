@@ -85,7 +85,7 @@ class TestValidateDensity:
         good = np.eye(2) / 2
         with pytest.raises(error):
             validate_densities(np.stack([good, *(bad[k] for k in order), good]))
-        assert validate_densities(np.stack([good, good])).shape == (2, 2, 2)
+        assert validate_densities(np.stack([good, good]))[0].shape == (2, 2, 2)
 
 
 class TestPureState:

@@ -2,7 +2,6 @@
 witness records."""
 
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -176,17 +175,16 @@ def test_suite_draws_shared_qubit_states_once(monkeypatch):
 
 def test_suite_decomposes_each_stack_once(monkeypatch):
     # Validation's spectra of the channel outputs, the kept outcomes and
-    # the mixtures go on to the relative-entropy measure, so the measure
-    # hands eigvalsh no stack, byte for byte, that was decomposed before.
-    # Validation itself may meet one twice: a one-operator channel's
-    # outcome is its output divided by p, and p often reads exactly 1.0
-    # (here the (d, k) = (6, 1) group's outputs).
+    # the mixtures go on to the relative-entropy measure, and a kept
+    # outcome byte-equal to its own output (a one-operator channel's, where
+    # p reads exactly 1.0: here the whole (d, k) = (6, 1) group) takes that
+    # output's spectrum, so eigvalsh meets no stack, byte for byte, twice.
     eigvalsh = np.linalg.eigvalsh
     seen, repeated = set(), []
 
     def spy(a, *args, **kwargs):
         key = (a.shape, np.ascontiguousarray(a).tobytes())
-        if key in seen and sys._getframe(1).f_code.co_name != "_validated_spectra":
+        if key in seen:
             repeated.append(a.shape)
         seen.add(key)
         return eigvalsh(a, *args, **kwargs)
