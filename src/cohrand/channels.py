@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonExactMeasure, NotAPartition
 from .measures import MeasureId, c_l1_values, c_rel_ent_values, r_qubit_analytic_values
-from .states import DensityMatrix, _seeded_generators, validate_densities
+from .states import DensityMatrix, _complex_normals, _seeded_generators, validate_densities
 
 COLUMN_ZERO_THRESHOLD = 1e-12
 TRACE_PRESERVATION_TOL = 1e-10
@@ -131,20 +131,16 @@ def random_incoherent_kraus_sets(d: int, n_ops: int, seeds) -> np.ndarray:
     then rescaled to make the set trace preserving.
 
     The seeds are hashed in one pass (:func:`~cohrand.states._seeded_generators`);
-    per seed, the Python loop only builds a generator and draws the
-    Gaussian weights, real parts first, and one permutation per operator;
-    the scaling and the placement into the operators run once for the
-    stack."""
+    each generator draws its weights (:func:`~cohrand.states._complex_normals`),
+    then one permutation per operator; the scaling and the placement into
+    the operators run once for the stack."""
     if n_ops < 1:
         raise ValueError("n_ops must be >= 1")
-    g = np.empty((len(seeds), 2, n_ops, d))
-    rows = np.empty((len(seeds), n_ops, d), dtype=int)
+    rngs = list(_seeded_generators(seeds))
+    weights = _complex_normals(rngs, len(rngs), (n_ops, d))
     identity_rows = np.broadcast_to(np.arange(d), (n_ops, d))
-    for j, rng in enumerate(_seeded_generators(seeds)):
-        rng.standard_normal(out=g[j])
-        # One permutation per operator, drawn as n_ops successive permutation(d) calls would.
-        rows[j] = rng.permuted(identity_rows, axis=1)
-    weights = g[:, 0] + 1j * g[:, 1]
+    # One permutation per operator, drawn as n_ops successive permutation(d) calls would.
+    rows = np.reshape([rng.permuted(identity_rows, axis=1) for rng in rngs], (-1, n_ops, d))
     scale = np.sqrt(np.sum(np.abs(weights) ** 2, axis=1, keepdims=True))
     # Operator n of set s holds column c's weight in row rows[s, n, c].
     placed = rows[..., None, :] == np.arange(d)[:, None]
@@ -181,7 +177,8 @@ def _selective_outcomes(terms: np.ndarray, outputs=None, output_spectra=None):
     same = (states.view(np.uint64) == outputs[own].view(np.uint64)).all(axis=(1, 2))
     spectra = np.empty(states.shape[:2])
     spectra[same] = output_spectra[own[same]]
-    spectra[~same] = validate_densities(states[~same], tol=1e-9)[1]
+    if not same.all():
+        spectra[~same] = validate_densities(states[~same], tol=1e-9)[1]
     return p, keep, states, spectra
 
 

@@ -76,11 +76,6 @@ def _qubit_amplitudes(psi: PureState):
     return complex(psi.amps[0]), complex(psi.amps[1])
 
 
-def _popcounts(n_copies: int) -> np.ndarray:
-    idx = np.arange(2**n_copies, dtype=np.uint32)
-    return np.unpackbits(idx.view(np.uint8).reshape(-1, 4), axis=1).sum(axis=1)
-
-
 def distill_exact(psi: PureState, n_copies: int) -> ExactRun:
     """Build the N-fold tensor power, project onto the fixed-excitation
     subspaces and renormalize.
@@ -96,7 +91,7 @@ def distill_exact(psi: PureState, n_copies: int) -> ExactRun:
             f"2^{EXACT_MODE_MAX_QUBITS}"
         )
     alpha, beta = _qubit_amplitudes(psi)
-    pops = _popcounts(n_copies)
+    pops = np.bitwise_count(np.arange(2**n_copies, dtype=np.uint32))
     # amplitude of a basis string with k ones is alpha^(N-k) beta^k
     amp_by_k = np.array(
         [alpha ** (n_copies - k) * beta**k for k in range(n_copies + 1)], dtype=complex

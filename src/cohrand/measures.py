@@ -68,8 +68,7 @@ def c_l1(rho: DensityMatrix) -> float:
 
 def r_pure(psi: PureState) -> float:
     """Randomness of a pure state: Shannon entropy of |a_i|^2."""
-    p = psi.probabilities()
-    return shannon_entropy(p / p.sum())
+    return shannon_entropy(psi.probabilities())
 
 
 def coherence_concurrence_qubit(rho: DensityMatrix) -> float:

@@ -58,8 +58,7 @@ def sample_measurement(psi: PureState, n: int, seed: int) -> OutcomeStream:
     """n i.i.d. draws from the Born distribution |a_i|^2 via inverse CDF."""
     if n < 1:
         raise ValueError("need n >= 1")
-    p = psi.probabilities()
-    symbols = _draw_outcomes(p / p.sum(), n, seed)
+    symbols = _draw_outcomes(psi.probabilities(), n, seed)
     return OutcomeStream(symbols.astype(np.int64, copy=False), psi.dim, seed)
 
 
@@ -111,9 +110,9 @@ def pipeline_compare(
         raise ValueError("pipeline comparison is defined for qubit sources")
     p = psi.probabilities()
     if entropy_mode == "shannon":
-        target = shannon_entropy(p / p.sum())
+        target = shannon_entropy(p)
     elif entropy_mode == "min":
-        target = min_entropy(p / p.sum())
+        target = min_entropy(p)
     else:
         raise ValueError(f"unknown entropy mode {entropy_mode!r}")
     n_total = n_groups * group_n
@@ -135,13 +134,7 @@ def pipeline_compare(
 
     report_b = distill_simulate(psi, group_n, n_groups, int(seed_distill))
     b_bits = report_b.r
-    if b_bits > 0:
-        uniform = np.random.default_rng(int(seed_measure)).integers(
-            0, 2, size=b_bits, dtype=np.uint8
-        )
-        z_b = monobit_z(uniform)
-    else:
-        z_b = 0.0
+    z_b = monobit_z(np.random.default_rng(int(seed_measure)).integers(0, 2, b_bits, np.uint8))
 
     denom = max(a_bits, b_bits)
     rel = abs(a_bits - b_bits) / denom if denom > 0 else 0.0

@@ -5,8 +5,9 @@ rho, of the ensemble average of the pure-state randomness. Decompositions of
 size m are the rows W @ B of m x r isometries W applied to the support
 eigendecomposition rows B; the optimizer draws its starts that way and runs
 a multi-start descent on the rows themselves, also on two copies of rho for
-a regularized estimate. A brute-force grid over 2x2 mixing unitaries serves
-as an independent qubit oracle.
+a regularized estimate, restart k from the Q of a complex Gaussian drawn by
+child k of ``default_rng(seed).spawn(restarts)``. A brute-force grid over
+2x2 mixing unitaries serves as an independent qubit oracle.
 
 The measure is additive over direct sums (Yu, Zhang, Xu & Tong, PRA 94,
 060302(R) (2016)): when rho_ij = 0 whenever i and j lie in different
@@ -27,7 +28,7 @@ import numpy as np
 from . import _kernels
 from .errors import DimensionNot2, NotIsometry, RankMismatch, TooLarge
 from .measures import r_pure
-from .states import DensityMatrix, PureState, entropy_bits
+from .states import DensityMatrix, PureState, _complex_normals, entropy_bits
 
 RANK_THRESHOLD = 1e-10
 ELEMENT_DROP_THRESHOLD = 1e-12
@@ -147,12 +148,8 @@ def _block_rows(block: np.ndarray, config: RoofConfig):
     r = b.shape[0]
     if r <= 1:
         return b, True, False
-    m = r * r
-    g = np.empty((config.restarts, m, r), dtype=complex)
-    for i, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.restarts)):
-        rng = np.random.default_rng(child)
-        g[i] = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
-    w0, _ = np.linalg.qr(g)
+    rngs = np.random.default_rng(config.seed).spawn(config.restarts)
+    w0, _ = np.linalg.qr(_complex_normals(rngs, config.restarts, (r * r, r)))
     _, psi, converged = _kernels.roof_descent(w0 @ b, MAX_ITERATIONS, TOLERANCE_BITS)
     return psi, converged, True
 
@@ -163,14 +160,14 @@ def optimize_roof(rho: DensityMatrix, config: RoofConfig = RoofConfig()) -> Roof
     block by block: each bare block of rho (module docstring) gets its own
     ensemble, whose rows are embedded back into C^d as they are.
 
-    Multi-start descent: every restart starts from an isometry drawn with a
-    seed derived deterministically from the master seed, all restarts
-    descend in one batched kernel call, and the best is taken by lowest
-    value, then lowest restart index. The returned value is an upper
-    estimate of the true roof (the descent approaches it from above); the
-    kernel's stall stop sees each block at about unit trace. A block whose
-    eigenvalues are all at most RANK_THRESHOLD adds no member, as rho's
-    own eigendecomposition would drop them.
+    Multi-start descent: every restart starts from an isometry drawn by
+    its own child of the master seed's generator (module docstring), all
+    restarts descend in one batched kernel call, and the best is taken by
+    lowest value, then lowest restart index. The returned value is an
+    upper estimate of the true roof (the descent approaches it from
+    above); the kernel's stall stop sees each block at about unit trace.
+    A block whose eigenvalues are all at most RANK_THRESHOLD adds no
+    member, as rho's own eigendecomposition would drop them.
     """
     if config.restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {config.restarts}")

@@ -6,6 +6,8 @@ All entropies are in bits (log base 2). Every operation here is a pure
 function of its inputs plus an explicit seed; returned objects are safe to
 share between threads. Stack validation also returns the spectra its PSD
 check takes, so S(rho) of a validated state needs no second decomposition.
+Every complex Gaussian draw of the package, the roof's starts included, is
+made by :func:`_complex_normals`: one block per generator, real part first.
 """
 
 from __future__ import annotations
@@ -55,7 +57,9 @@ class PureState:
         return DensityMatrix(np.outer(self.amps, self.amps.conj()))
 
     def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
+        """The Born distribution |a_i|^2, renormalized to sum to 1."""
+        p = np.abs(self.amps) ** 2
+        return p / p.sum()
 
 
 @dataclass(frozen=True)
@@ -205,10 +209,19 @@ def density_to_bloch(rho: DensityMatrix) -> np.ndarray:
     return np.array([nx, ny, nz])
 
 
+def _complex_normals(rngs, n: int, shape) -> np.ndarray:
+    """(n, *shape) complex standard normals, block j from the next of `rngs`
+    as ``standard_normal(shape) + 1j * standard_normal(shape)`` draws it.
+    Exactly n generators are taken, so `rngs` may be a shared iterator."""
+    g = np.empty((n, 2, *shape))
+    for block, rng in zip(g, rngs):  # g first: zip then stops before a further rng
+        rng.standard_normal(out=block)
+    return g[:, 0] + 1j * g[:, 1]
+
+
 def haar_random_pure(d: int, seed: int) -> PureState:
     """Haar-random pure state via a normalized complex Gaussian vector."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    v = _complex_normals([np.random.default_rng(seed)], 1, (d,))[0]
     return PureState(v / np.linalg.norm(v))
 
 
@@ -302,9 +315,9 @@ def random_densities(d: int, ranks, seeds) -> np.ndarray:
     ``ranks[j]``, and its d x rank Gaussian G comes from
     ``default_rng(seeds[j])``, real part first.
 
-    The seeds are hashed in one pass (:func:`_seeded_generators`); the
-    Python loop only builds a generator and fills a preallocated block;
-    G G^dag and the trace normalisation run once per rank."""
+    The seeds are hashed in one pass (:func:`_seeded_generators`); per
+    rank, :func:`_complex_normals` fills one block from those seeds'
+    generators, and G G^dag and the trace normalisation run once."""
     ranks, seeds = np.broadcast_arrays(np.asarray(ranks, dtype=int), _seed_array(seeds))
     if not ((ranks >= 1) & (ranks <= d)).all():
         raise ValueError(f"rank must be in [1, {d}], got {ranks[(ranks < 1) | (ranks > d)][0]}")
@@ -313,10 +326,7 @@ def random_densities(d: int, ranks, seeds) -> np.ndarray:
     rngs = _seeded_generators(seeds[np.argsort(ranks, kind="stable")])
     for rank in range(1, d + 1):
         pos = np.flatnonzero(ranks == rank)
-        g = np.empty((len(pos), 2, d, rank))
-        for block in g:
-            next(rngs).standard_normal(out=block)
-        g = g[:, 0] + 1j * g[:, 1]
+        g = _complex_normals(rngs, len(pos), (d, rank))
         m = g @ g.conj().swapaxes(1, 2)
         out[pos] = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
     return out

@@ -4,9 +4,10 @@ Every sample is drawn from its own seed, as the per-pair harness would
 take it. A sweep groups its samples by dimension (and, for monotonicity,
 by Kraus count) and checks each group in one stacked pass of
 :mod:`cohrand.channels`; a sample that two measures share is drawn and
-pushed through the channel once. The worst slack and its witness are the
-ones a serial scan would find: the first sample, in scan order, that
-reaches the worst slack.
+pushed through the channel once, and a qubit state that C2 or C3 shares
+with C1' is drawn once, by C1' (:func:`_states`). The worst slack and its
+witness are the ones a serial scan would find: the first sample, in scan
+order, that reaches the worst slack.
 
 A witness is a record ``{measure, property, sample_index, dim,
 state_seed, channel_seed}`` from which the failing input can be rebuilt
@@ -86,6 +87,18 @@ def _measure_major(measures, slacks: dict, witness):
     return flat, lambda j: witness(measures[j // samples], j % samples)
 
 
+def _states(d: int, ranks, offsets, seed: int, qubits) -> np.ndarray:
+    """The states ``random_density(d, ranks[j], seed + offsets[j])`` as a
+    stack, where a qubit state that is row o of `qubits`, C1''s states
+    (rank 1 + o % 2, seed + o), is taken from there, not drawn again."""
+    shared = (d == 2) & (offsets < len(qubits)) & (ranks == 1 + offsets % 2)
+    states = np.empty((len(offsets), d, d), dtype=complex)
+    states[~shared] = random_densities(d, ranks[~shared], seed + offsets[~shared])
+    if shared.any():  # C1''s 2 x 2 rows: an empty take at d > 2 would not broadcast
+        states[shared] = qubits[offsets[shared]]
+    return states
+
+
 def _vanishing(measures, samples: int, seed: int) -> PropertyReport:
     """C1: every measure is zero (within tolerance) on diagonal states.
 
@@ -127,15 +140,16 @@ def _strict_positivity(mats: np.ndarray, seed: int) -> PropertyReport:
     return _report(PropertyId.C1_STRICT, slacks, witness, 0.0)
 
 
-def _monotonicity(measures, samples: int, seed: int):
+def _monotonicity(measures, samples: int, seed: int, qubits):
     """C2a/C2b over seeded (state, incoherent channel) pairs: sample i pairs
     ``random_density(d, 1 + i % d, seed + 7919 i)`` with
-    ``random_incoherent_kraus(d, 1 + i % 4, seed + 104729 i + 1)``."""
+    ``random_incoherent_kraus(d, 1 + i % 4, seed + 104729 i + 1)``. A state
+    among `qubits` is taken from there (:func:`_states`)."""
     dims = {m: _dims(m, samples) for m in measures}
     slack_a = {m: np.empty(samples) for m in dims}
     slack_b = {m: np.empty(samples) for m in dims}
     for (d, k), idx, group_measures in _groups(dims, lambda i, d: (d, 1 + i % 4)):
-        rhos = random_densities(d, 1 + idx % d, seed + 7919 * idx)
+        rhos = _states(d, 1 + idx % d, 7919 * idx, seed, qubits)
         kraus = random_incoherent_kraus_sets(d, k, seed + 104729 * idx + 1)
         for measure, (a, b) in monotonicity_slacks(group_measures, rhos, kraus).items():
             use = dims[measure][idx] == d
@@ -154,21 +168,15 @@ def _monotonicity(measures, samples: int, seed: int):
 def _convexity(measures, samples: int, seed: int, qubits) -> PropertyReport:
     """C3 over seeded equal-weight two-state mixtures: sample i mixes
     ``random_density(d, 1 + i % d, seed + 2 i)`` and
-    ``random_density(d, 1 + (i + 1) % d, seed + 2 i + 1)``. A qubit state
-    that is also row o of `qubits`, C1''s states for the same seed, is
-    taken from there rather than drawn again."""
+    ``random_density(d, 1 + (i + 1) % d, seed + 2 i + 1)``. A state among
+    `qubits` is taken from there (:func:`_states`)."""
     dims = {m: _dims(m, samples) for m in measures}
     slacks = {m: np.empty(samples) for m in dims}
     for d, idx, group_measures in _groups(dims, lambda i, d: d):
         # Pair member b of sample i is state o = 2 i + b, of seed `seed + o`.
         offsets = (2 * idx[:, None] + np.arange(2)).ravel()
         ranks = 1 + (offsets // 2 + offsets % 2) % d
-        shared = (d == 2) & (offsets < len(qubits)) & (ranks == 1 + offsets % 2)
-        pairs = np.empty((len(offsets), d, d), dtype=complex)
-        pairs[~shared] = random_densities(d, ranks[~shared], seed + offsets[~shared])
-        if shared.any():
-            pairs[shared] = qubits[offsets[shared]]
-        pairs = pairs.reshape(len(idx), 2, d, d)
+        pairs = _states(d, ranks, offsets, seed, qubits).reshape(len(idx), 2, d, d)
         for measure, s in convexity_slacks(group_measures, (0.5, 0.5), pairs).items():
             use = dims[measure][idx] == d
             slacks[measure][idx[use]] = s[use]
@@ -195,6 +203,6 @@ def run_property_suite(measures=DEFAULT_MEASURES, samples: int = 1000, seed: int
     qubits = random_densities(2, 1 + i % 2, seed + i)
     c1 = _vanishing(measures, samples, seed)
     c1s = _strict_positivity(qubits, seed)
-    c2a, c2b = _monotonicity(measures, samples, seed)
+    c2a, c2b = _monotonicity(measures, samples, seed, qubits)
     c3 = _convexity(measures, max(samples // 2, 1), seed, qubits)
     return [c1, c1s, c2a, c2b, c3]

@@ -1,4 +1,9 @@
 import sys
+from pathlib import Path
+
+# The tests share the benchmark's package-independent oracles
+# (perfbench/reference.py): one implementation of each.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 
 def pytest_terminal_summary(terminalreporter):

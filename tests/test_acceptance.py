@@ -9,17 +9,18 @@ The chain rule gives the exact identity
 with p_k the Bin(N, 1 - p0) outcome distribution, so the expected per-copy
 yield of the grouped protocol is H(p0) - H(Bin(N, 1 - p0)) / N: 0.6511 for
 N = 50 and p0 = 0.8, short of H(0.8) = 0.7219 by the outcome entropy over
-N. The N = 50 runs are held to that finite-N target, computed here from
-scipy's binomial entropy rather than from cohrand.distill. The paper's
-asymptotic claim is checked at N = 5000 copies per group (10^6 copies over
-200 groups), where the identity puts the shortfall at 0.0014 bits.
+N. The N = 50 runs are held to that finite-N target, computed by the
+benchmark's reference (``perfbench/reference.py``, which its own tests
+check against scipy's binomial entropy) rather than from cohrand.distill.
+The paper's asymptotic claim is checked at N = 5000 copies per group
+(10^6 copies over 200 groups), where the identity puts the shortfall at
+0.0014 bits.
 """
 
 import math
 import time
 
 import numpy as np
-from scipy.stats import binom
 
 from cohrand import (
     RoofConfig,
@@ -42,17 +43,13 @@ from cohrand import (
     regularized_roof_estimate,
     run_property_suite,
 )
-from oracles import binary_entropy, sample_exact_outcomes
+from oracles import sample_exact_outcomes
+from reference import binary_entropy, finite_n_yield
 
 
 # One verdict line per criterion; conftest.py echoes these in the terminal
 # summary so they appear for passing criteria too.
 CRITERION_LINES: list = []
-
-
-def _finite_n_yield(n_copies: int, p0: float) -> float:
-    """Expected per-copy yield H(p0) - H(Bin(N, 1 - p0)) / N, in bits."""
-    return binary_entropy(p0) - binom.entropy(n_copies, 1.0 - p0) / math.log(2.0) / n_copies
 
 
 def _line(num: int, ok: bool, desc: str) -> None:
@@ -117,7 +114,7 @@ def test_criterion_05_property_suite():
 def test_criterion_06_distillation_yield():
     t0 = time.monotonic()
     psi = pure_state([math.sqrt(0.8), math.sqrt(0.2)])
-    target = _finite_n_yield(50, 0.8)
+    target = finite_n_yield(50, 0.8)
     report = distill_simulate(psi, 50, 200, seed=0)
     yield_ok = abs(report.yield_rate - target) <= 0.02
     asymptotic = binary_entropy(0.8)
@@ -174,7 +171,7 @@ def test_criterion_09_pipeline_equivalence():
     n_total = 200 * 50
     small = pipeline_compare(psi, n_groups=200, group_n=50, seed=0)
     a_expected = math.floor(n_total * (binary_entropy(0.8) - 0.02))
-    b_expected = n_total * _finite_n_yield(50, 0.8)
+    b_expected = n_total * finite_n_yield(50, 0.8)
     a_ok = small.path_a_bits == a_expected
     b_ok = abs(small.path_b_bits - b_expected) <= 0.02 * n_total
     cmp = pipeline_compare(psi, n_groups=200, group_n=5000, seed=0)

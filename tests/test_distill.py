@@ -19,7 +19,8 @@ from cohrand import (
     pure_state,
 )
 from cohrand.errors import TooLarge
-from oracles import binary_entropy, sample_exact_outcomes
+from oracles import sample_exact_outcomes
+from reference import binary_entropy
 
 
 def unbalanced_qubit(p0=0.8):

@@ -133,6 +133,30 @@ def test_no_unused_private_names():
     assert sorted(n for n in defined if n.split(".")[1] not in loaded) == []
 
 
+def test_one_home_for_seeded_gaussians():
+    # Every complex Gaussian draw goes through states._complex_normals, and
+    # every child generator comes from Generator.spawn; docstrings and
+    # comments may still name SeedSequence.
+    draws, seed_sequences = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        homes = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and (path.stem, fn.name) == ("states", "_complex_normals")
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            # What an attribute, a bare name or an imported name names.
+            name = getattr(node, "attr", getattr(node, "id", getattr(node, "name", None)))
+            if name == "standard_normal" and id(node) not in homes:
+                draws.append(f"{path.stem}:{node.lineno}")
+            if name == "SeedSequence":
+                seed_sequences.append(f"{path.stem}:{node.lineno}")
+    assert draws == []
+    assert seed_sequences == []
+
+
 def _traced_names() -> list:
     """The "module.name" strings of the benchmark's SELF_S and CALLS tuples,
     read from its source so that its import-time environment set-up does

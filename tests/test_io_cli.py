@@ -18,12 +18,13 @@ from hypothesis import strategies as st
 from cohrand import (
     DensityMatrix,
     OutcomeStream,
+    PureState,
     RoofConfig,
     maximally_coherent_state,
     pure_state,
     random_density,
 )
-from cohrand import cli
+from cohrand import _kernels, cli, roof
 from cohrand.cli import _emit, build_parser, main
 from cohrand.errors import CohrandError, NotFinite, NotPSD
 from cohrand.stateio import (
@@ -31,6 +32,7 @@ from cohrand.stateio import (
     format_stream,
     load_state,
     load_stream,
+    pure_to_dict,
     save_state,
     save_stream,
 )
@@ -572,6 +574,35 @@ class TestCli:
             q = np.abs(psi) ** 2
             entropies = [-sum(x * math.log2(x) for x in row if x > 0) for row in q]
             assert p @ entropies == pytest.approx(out["value"], abs=1e-12)
+
+    def test_roof_takes_a_seed_past_2_to_the_64(self, density_file, capsys):
+        # Any seed >= 0 reaches the roof, and restart k starts from child k
+        # of SeedSequence(seed): the output is the one those starts give.
+        seed, restarts = 2**70, 3
+        assert main(["roof", density_file, "--seed", str(seed), "--restarts", str(restarts)]) == 0
+        out = capsys.readouterr().out
+        rho = load_state(density_file)
+        b = roof._support_rows(rho.mat)
+        r = len(b)
+        g = np.empty((restarts, r * r, r), dtype=complex)
+        for i, child in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
+            rng = np.random.default_rng(child)
+            g[i] = rng.standard_normal((r * r, r)) + 1j * rng.standard_normal((r * r, r))
+        psi0 = np.linalg.qr(g)[0] @ b
+        _, rows, converged = _kernels.roof_descent(psi0, roof.MAX_ITERATIONS, roof.TOLERANCE_BITS)
+        decomp = roof._ensemble(rho, rows)
+        _emit(
+            {
+                "value": roof.roof_objective(decomp),
+                "converged": converged,
+                "restarts_used": restarts,
+                "decomposition": [
+                    {"p": float(p), "state": pure_to_dict(PureState(row))}
+                    for p, row in zip(decomp.weights, decomp.states)
+                ],
+            }
+        )
+        assert out == capsys.readouterr().out
 
     @pytest.mark.parametrize("flag,value", ROOF_ARGS_OUT_OF_RANGE)
     def test_roof_argument_out_of_range(self, flag, value, capsys):

@@ -25,7 +25,7 @@ from cohrand import (
 from cohrand.errors import DimensionNot2
 from cohrand.measures import c_l1_values, c_rel_ent_values, r_qubit_analytic_values
 from cohrand.states import DensityMatrix
-from oracles import binary_entropy
+from reference import binary_entropy
 
 # Frozen values from an independent Nelder-Mead minimization of the quantum
 # relative entropy S(rho || sigma) over diagonal sigma (6 restarts each,

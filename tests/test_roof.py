@@ -204,7 +204,7 @@ class TestOptimizeRoof:
     def test_starts_are_each_restarts_own_qr(self, d, monkeypatch):
         # The restarts' Gaussians go through one stacked QR. Each start must
         # equal, bit for bit, the QR of its own seeded Gaussian alone, at
-        # (m, r) = (4, 2), (9, 3) and (16, 4).
+        # (m, r) = (4, 2), (9, 3) and (16, 4), for seeds past 2^64 too.
         starts = []
 
         def descent(psi0, max_iter, tol_bits):
@@ -213,8 +213,8 @@ class TestOptimizeRoof:
 
         monkeypatch.setattr(_kernels, "roof_descent", descent)
         m = d * d
-        for seed in range(50):
-            rho = random_density(d, d, seed=seed)
+        for seed in [*range(50), 2**64, 2**70]:
+            rho = random_density(d, d, seed=seed % 2**32)  # state seeds stop at 2^64
             optimize_roof(rho, RoofConfig(seed=seed))
             assert starts[-1].shape == (16, m, d)
             for psi, child in zip(starts[-1], np.random.SeedSequence(seed).spawn(16)):

@@ -21,7 +21,12 @@ from cohrand import (
     von_neumann_entropy,
 )
 from cohrand.errors import DimensionNot2, NotFinite, NotHermitian, NotPSD, TraceNotOne
-from cohrand.states import _seeded_generators, random_densities, validate_densities
+from cohrand.states import (
+    _complex_normals,
+    _seeded_generators,
+    random_densities,
+    validate_densities,
+)
 
 
 class TestValidateDensity:
@@ -227,6 +232,24 @@ class TestRandomStates:
     def test_one_rank_per_seed(self):
         with pytest.raises(ValueError, match="broadcast"):
             random_densities(3, [1, 2], [0, 1, 2])
+
+    @pytest.mark.parametrize("shape", [(5,), (9, 3), (4, 6)], ids=["d", "m-r", "ops-d"])
+    def test_complex_normals_are_the_two_call_draw(self, shape):
+        # The vector of haar_random_pure, a roof start's (m, r) Gaussian and
+        # a channel's (n_ops, d) weights: real parts first, bit for bit.
+        g = _complex_normals([np.random.default_rng(s) for s in range(4)], 4, shape)
+        assert g.shape == (4, *shape)
+        for s, block in enumerate(g):
+            rng = np.random.default_rng(s)
+            assert np.array_equal(block, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    def test_complex_normals_take_n_generators_from_an_iterator(self):
+        rngs = iter([np.random.default_rng(s) for s in range(5)])
+        first = _complex_normals(rngs, 2, (3,))
+        rest = _complex_normals(rngs, 3, (3,))
+        assert next(rngs, None) is None
+        both = _complex_normals([np.random.default_rng(s) for s in range(5)], 5, (3,))
+        assert np.array_equal(np.concatenate([first, rest]), both)
 
     def test_haar_random_pure_unit_norm(self):
         psi = haar_random_pure(6, 3)

@@ -169,8 +169,9 @@ def test_suite_draws_shared_qubit_states_once(monkeypatch):
     monkeypatch.setattr(verify, "random_densities", spy)
     run_property_suite(samples=1000, seed=1)
     # C1' 1000, C2 1800 and C3 1800 states, less C3's 250 qubit pairs
-    # (2, 1, seed + 2i), (2, 2, seed + 2i + 1) for even i: C1' states 2i, 2i + 1.
-    assert sum(drawn) == 4600 - 500
+    # (2, 1, seed + 2i), (2, 2, seed + 2i + 1) for even i: C1' states 2i, 2i + 1,
+    # and less C2's sample 0, (2, 1, seed): C1' state 0.
+    assert sum(drawn) == 4600 - 500 - 1
 
 
 def test_suite_decomposes_each_stack_once(monkeypatch):
@@ -178,14 +179,17 @@ def test_suite_decomposes_each_stack_once(monkeypatch):
     # the mixtures go on to the relative-entropy measure, and a kept
     # outcome byte-equal to its own output (a one-operator channel's, where
     # p reads exactly 1.0: here the whole (d, k) = (6, 1) group) takes that
-    # output's spectrum, so eigvalsh meets no stack, byte for byte, twice.
+    # output's spectrum, so eigvalsh meets no stack, byte for byte, twice,
+    # and no stack of 0 matrices.
     eigvalsh = np.linalg.eigvalsh
-    seen, repeated = set(), []
+    seen, repeated, empty = set(), [], []
 
     def spy(a, *args, **kwargs):
         key = (a.shape, np.ascontiguousarray(a).tobytes())
         if key in seen:
             repeated.append(a.shape)
+        if a.size == 0:
+            empty.append(a.shape)
         seen.add(key)
         return eigvalsh(a, *args, **kwargs)
 
@@ -193,6 +197,7 @@ def test_suite_decomposes_each_stack_once(monkeypatch):
     run_property_suite(samples=40)
     assert seen
     assert repeated == []
+    assert empty == []
 
 
 @pytest.mark.parametrize("seed", [0, 3, 2**32])
