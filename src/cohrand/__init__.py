@@ -56,7 +56,6 @@ from .states import (
     DensityMatrix,
     OutcomeStream,
     PureState,
-    basis_state,
     bloch_to_density,
     density_to_bloch,
     haar_random_pure,

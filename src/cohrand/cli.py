@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .measures import (
 )
 from .rng import pipeline_compare, sample_measurement
 from .roof import RoofConfig, optimize_roof
-from .stateio import format_stream, load_state, pure_to_dict, save_stream
+from .stateio import format_stream, load_state, pure_to_dict
 from .states import DensityMatrix, PureState, pure_state
 from .verify import DEFAULT_MEASURES, run_property_suite
 
@@ -160,7 +161,7 @@ def _cmd_distill(args) -> int:
 def _cmd_sample(args) -> int:
     stream = sample_measurement(_load_pure(args), args.n, args.seed)
     if args.out:
-        save_stream(stream, args.out)
+        Path(args.out).write_text(format_stream(stream))
     else:
         sys.stdout.write(format_stream(stream))
     return 0

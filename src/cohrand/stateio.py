@@ -7,8 +7,8 @@ A state file is a JSON document with one of:
 * ``{"bloch": [nx, ny, nz]}`` -- qubit Bloch vector.
 
 Parsers validate the physical invariants and raise the named state errors
-on violation. Outcome streams are plain text: a ``# dim=<d> seed=<s>``
-header line followed by one symbol per line.
+on violation. Outcome streams are written, never read back, as plain
+text: a ``# dim=<d> seed=<s>`` header line followed by one symbol per line.
 """
 
 from __future__ import annotations
@@ -106,45 +106,3 @@ def format_stream(stream: OutcomeStream) -> str:
     lines = [f"# dim={stream.source_dim} seed={stream.seed}"]
     lines.extend(str(int(s)) for s in stream.symbols)
     return "\n".join(lines) + "\n"
-
-
-def save_stream(stream: OutcomeStream, path) -> None:
-    Path(path).write_text(format_stream(stream))
-
-
-def _integer(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{what} must be an integer, got {text.strip()!r}") from None
-
-
-def load_stream(path) -> OutcomeStream:
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith("#"):
-        raise ValueError("stream file must start with a '# dim=... seed=...' header")
-    header = {}
-    for field in lines[0].lstrip("# ").split():
-        key, eq, value = field.partition("=")
-        if not eq:
-            raise ValueError(f"stream header field {field!r} is not key=value")
-        header[key] = value
-    missing = sorted({"dim", "seed"} - header.keys())
-    if missing:
-        raise ValueError(f"stream header lacks {' and '.join(missing)}")
-    dim = _integer(header["dim"], "stream header dim")
-    seed = _integer(header["seed"], "stream header seed")
-    if dim < 1:
-        raise ValueError(f"stream header dim must be at least 1, got {dim}")
-    if dim > 2**63:  # symbols are int64
-        raise ValueError(f"stream header dim must be at most 2**63, got {dim}")
-    symbols = []
-    for number, line in enumerate(lines[1:], start=2):
-        if line.strip():
-            symbol = _integer(line, f"stream line {number}")
-            if not 0 <= symbol < dim:
-                raise ValueError(
-                    f"stream contains symbols outside 0..{dim - 1}: {symbol} on line {number}"
-                )
-            symbols.append(symbol)
-    return OutcomeStream(np.array(symbols, dtype=np.int64), dim, seed)

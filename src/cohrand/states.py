@@ -136,12 +136,6 @@ def pure_state(amps) -> PureState:
     return PureState(amps)
 
 
-def basis_state(d: int, i: int) -> PureState:
-    amps = np.zeros(d, dtype=complex)
-    amps[i] = 1.0
-    return PureState(amps)
-
-
 def maximally_coherent_state(d: int) -> PureState:
     """Equal-amplitude superposition of all d basis states."""
     return PureState(np.full(d, 1.0 / np.sqrt(d), dtype=complex))

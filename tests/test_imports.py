@@ -157,6 +157,57 @@ def test_one_home_for_seeded_gaussians():
     assert seed_sequences == []
 
 
+# The public functions and classes that no package code names, each with
+# the reason it stays. A public name that only tests reach is dead code
+# unless it is listed here.
+UNREFERENCED_PUBLIC_NAMES = {
+    **dict.fromkeys(
+        [
+            "channels.apply_channel",
+            "channels.apply_selective",
+            "channels.check_convexity",
+            "channels.exact_measure_value",
+            "channels.is_incoherent_kraus_set",
+            "channels.random_incoherent_kraus",
+            "roof.decomposition_from_isometry",
+            "states.random_density",
+            "states.von_neumann_entropy",
+        ],
+        "traced by perfbench/run.py, so removing it is a benchmark change",
+    ),
+    "channels.check_monotonicity": "README's witness-rebuild recipe",
+    "measures.concurrence_bloch": "acceptance criterion 3",
+    "measures.concurrence_spin_flip": "acceptance criterion 3",
+    "roof.brute_force_roof_qubit": "acceptance criterion 2 and README's grid oracle",
+    "roof.regularized_roof_estimate": "acceptance criterion 8 and README's two-copy estimate",
+    "states.maximally_coherent_state": "acceptance criteria 7 and 10",
+    "states.haar_random_pure": "README's seeded pure states",
+    "stateio.save_state": "writes the state files the tests feed the command line",
+    "channels.projection_partition_kraus": "builds the incoherent channels the tests apply",
+}
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    # Every public top-level function or class of a module is named, as a
+    # bare name or an attribute, somewhere in the package, or it is listed
+    # above with a reason. A name read only by __init__'s re-export does
+    # not count, since an import names it as an alias.
+    defined, named = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.stem != "__init__":
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+                    defined[f"{path.stem}.{node.name}"] = node.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    unreferenced = {qualified for qualified, name in defined.items() if name not in named}
+    assert unreferenced == set(UNREFERENCED_PUBLIC_NAMES)
+
+
 def _traced_names() -> list:
     """The "module.name" strings of the benchmark's SELF_S and CALLS tuples,
     read from its source so that its import-time environment set-up does

@@ -8,7 +8,6 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from cohrand import (
-    basis_state,
     bloch_to_density,
     c_l1,
     c_rel_ent,
@@ -180,7 +179,7 @@ def state_stacks(draw):
     )
     boundary = st.sampled_from(
         [
-            basis_state(d, d - 1).projector().mat,
+            np.diag(np.eye(d, dtype=complex)[d - 1]),
             maximally_coherent_state(d).projector().mat,
             np.eye(d, dtype=complex) / d,
         ]

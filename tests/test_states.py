@@ -8,7 +8,6 @@ import pytest
 from cohrand import (
     DensityMatrix,
     apply_channel,
-    basis_state,
     bloch_to_density,
     density_to_bloch,
     haar_random_pure,
@@ -120,10 +119,6 @@ class TestPureState:
     def test_probabilities(self):
         psi = pure_state([0.6, 0.8])
         assert np.allclose(psi.probabilities(), [0.36, 0.64])
-
-    def test_basis_state(self):
-        e1 = basis_state(3, 1)
-        assert np.allclose(e1.amps, [0, 1, 0])
 
     def test_maximally_coherent(self):
         psi = maximally_coherent_state(4)
